@@ -1,59 +1,33 @@
-//! Canonicalization microbenchmark: certificates vs. full min-code.
+//! Canonicalization microbenchmark: how many full min-code computations
+//! each miner pays on the Fig. 9 operating points (frequency-threshold
+//! sweep over the AIDS-like generator).
 //!
-//! Measures the canonicalization-v2 layer on the Fig. 9 operating points
-//! (frequency-threshold sweep over the AIDS-like generator):
+//! * **FSG**: the certificate level pipeline (dedup + downward closure
+//!   through 1-WL certificates, `min_dfs_code` only on emitted survivors)
+//!   — wall time, canonicalization calls, certificate hits.
+//! * **gSpan**: the `is_min` gate at every search node — wall time and
+//!   canonicalization calls, for scale.
 //!
-//! * **FSG**: certificate pipeline (dedup + downward closure through
-//!   1-WL certificates, min-code only on emitted survivors) vs. the
-//!   legacy canonicalize-every-candidate pipeline — wall time,
-//!   canonicalization calls, certificate hits, and a byte-identity
-//!   assert on the mined pattern lists.
-//! * **gSpan**: the certificate-keyed [`CanonCache`] behind the `is_min`
-//!   gate, on vs. off, same asserts and counters.
-//! * **Per-call `min_dfs_code` latency** over the mined pattern graphs,
-//!   with automorphism-orbit pruning of starting embeddings on vs. off
-//!   (codes asserted equal).
-//!
-//! Full mode writes `BENCH_canon.json`. `--smoke` is the CI regression
-//! gate: it runs the Fig. 9 freq=0.07 point and asserts the legacy
-//! canonicalization-call count stays at its recorded level (≤ 32.0k
-//! calls) and that the certificate pipeline performs strictly fewer —
-//! so a change that silently reintroduces per-candidate canonicalization
-//! fails CI, not just a benchmark trend line.
+//! Both miners run sequentially with counters attached. Full mode writes
+//! `BENCH_canon.json` (with the machine's `cores`). `--smoke` is the CI
+//! regression gate: at the Fig. 9 freq=0.07 point it asserts the exact
+//! property the certificate pipeline promises — FSG canonicalization calls
+//! equal the number of patterns emitted — so a change that canonicalizes
+//! any candidate that is not emitted fails CI.
 //!
 //! Usage: `bench_canon [--scale f] [--seed u] [--smoke]`
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use graphsig_bench::{secs, timed, Cli};
 use graphsig_datagen::aids_like;
 use graphsig_fsg::{Fsg, FsgConfig};
-use graphsig_graph::{Budget, Graph, GraphDb, LabelPairIndex};
-use graphsig_gspan::{min_dfs_code, min_dfs_code_unpruned, GSpan, MinerConfig, Pattern};
+use graphsig_graph::{resolve_threads, Budget, GraphDb, LabelPairIndex};
+use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 
 /// Same caps as `bench_baselines`, so the counts are comparable.
 const MAX_PATTERNS: usize = 20_000;
 const MAX_EDGES: usize = 8;
-
-/// CI gate: canonicalization calls the *default* FSG pipeline may spend
-/// at Fig. 9 freq=0.07 (scale 1.0, seed 42). The pre-certificate
-/// pipeline paid ~32k calls here (one `min_dfs_code` per generated
-/// candidate plus one per apriori subpattern — 53k with the counters
-/// now visible); the certificate pipeline canonicalizes only emitted
-/// survivors (~0.7k). The ceiling is the old pipeline's level, so a
-/// change that quietly reintroduces per-candidate canonicalization into
-/// the default path fails CI even before the strictly-fewer assert.
-const DEFAULT_CANON_CALLS_CEILING: u64 = 32_000;
-
-/// Stable fingerprint of a mined pattern list (same as bench_baselines).
-fn fingerprint(pats: &[Pattern]) -> String {
-    let mut s = String::new();
-    for p in pats {
-        let _ = writeln!(s, "{:?} sup={} gids={:?}", p.code, p.support, p.gids);
-    }
-    s
-}
 
 struct Run {
     pats: Vec<Pattern>,
@@ -62,13 +36,28 @@ struct Run {
     cert_hits: u64,
 }
 
-/// Mine with FSG (certificates on/off), counters attached.
-fn run_fsg(db: &GraphDb, index: &LabelPairIndex, support: usize, certificates: bool) -> Run {
+impl Run {
+    /// The certificate pipeline's contract: one canonicalization per
+    /// emitted pattern. Only a run below the pattern cap emits every
+    /// survivor it canonicalized, so only such a run is checked.
+    fn assert_one_canon_per_pattern(&self, freq: f64) {
+        assert!(
+            self.pats.len() < MAX_PATTERNS,
+            "fsg freq={freq}: pattern cap reached"
+        );
+        assert_eq!(
+            self.canon_calls,
+            self.pats.len() as u64,
+            "fsg freq={freq}: canonicalization calls != patterns emitted"
+        );
+    }
+}
+
+fn run_fsg(db: &GraphDb, index: &LabelPairIndex, support: usize) -> Run {
     let budget = Budget::unlimited();
     let cfg = FsgConfig::new(support)
         .with_max_edges(MAX_EDGES)
         .with_max_patterns(MAX_PATTERNS)
-        .with_certificates(certificates)
         .with_budget(budget.clone());
     let (pats, time) = timed(|| Fsg::new(cfg.clone()).mine_indexed(db, index));
     Run {
@@ -79,13 +68,11 @@ fn run_fsg(db: &GraphDb, index: &LabelPairIndex, support: usize, certificates: b
     }
 }
 
-/// Mine with gSpan (canonical cache on/off), counters attached.
-fn run_gspan(db: &GraphDb, index: &LabelPairIndex, support: usize, cache: bool) -> Run {
+fn run_gspan(db: &GraphDb, index: &LabelPairIndex, support: usize) -> Run {
     let budget = Budget::unlimited();
     let cfg = MinerConfig::new(support)
         .with_max_edges(MAX_EDGES)
         .with_max_patterns(MAX_PATTERNS)
-        .with_canon_cache(cache)
         .with_budget(budget.clone());
     let (pats, time) = timed(|| GSpan::new(cfg.clone()).mine_indexed(db, index));
     Run {
@@ -96,132 +83,35 @@ fn run_gspan(db: &GraphDb, index: &LabelPairIndex, support: usize, cache: bool) 
     }
 }
 
-/// Mean per-call `min_dfs_code` latency (ns) over `graphs`, pruned vs.
-/// unpruned starting embeddings; asserts both agree on every graph.
-fn min_code_latency(graphs: &[&Graph]) -> (f64, f64) {
-    let reps = (50_000 / graphs.len().max(1)).clamp(30, 1_000);
-    // Warmup: agreement check doubles as cache priming.
-    for g in graphs {
-        assert_eq!(
-            min_dfs_code(g),
-            min_dfs_code_unpruned(g),
-            "pruned min_dfs_code disagrees with reference"
-        );
-    }
-    let mut pruned_ns = 0.0;
-    let mut unpruned_ns = 0.0;
-    for g in graphs {
-        let t = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(min_dfs_code(g));
-        }
-        pruned_ns += t.elapsed().as_nanos() as f64 / reps as f64;
-        let t = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(min_dfs_code_unpruned(g));
-        }
-        unpruned_ns += t.elapsed().as_nanos() as f64 / reps as f64;
-    }
-    let n = graphs.len().max(1) as f64;
-    (pruned_ns / n, unpruned_ns / n)
-}
-
-/// Orbit pruning's home turf: uniform label-free cycles, where every
-/// starting embedding is automorphic to every other and the unpruned
-/// self-projection re-derives the same code 2n times. Returns JSON rows.
-fn symmetric_stress() -> Vec<String> {
-    use graphsig_graph::GraphBuilder;
-    let mut rows = Vec::new();
-    for n in [6usize, 8, 10, 12] {
-        let mut b = GraphBuilder::new();
-        let nodes: Vec<_> = (0..n).map(|_| b.add_node(0)).collect();
-        for i in 0..n {
-            b.add_edge(nodes[i], nodes[(i + 1) % n], 1);
-        }
-        let g = b.build();
-        let (pruned_ns, unpruned_ns) = min_code_latency(&[&g]);
-        println!(
-            "uniform {n}-cycle: min_dfs_code {pruned_ns:.0}ns pruned vs {unpruned_ns:.0}ns unpruned ({:.2}x)",
-            unpruned_ns / pruned_ns.max(1.0)
-        );
-        rows.push(format!(
-            "    {{ \"graph\": \"uniform_cycle_{n}\", \"min_code_pruned_ns\": {pruned_ns:.0}, \"min_code_unpruned_ns\": {unpruned_ns:.0} }}"
-        ));
-    }
-    rows
-}
-
-/// One Fig. 9 point: both miners, both canonicalization modes, with
-/// byte-identity asserts. Returns the JSON fragment.
+/// One Fig. 9 point: both miners, counters attached. Returns the JSON
+/// fragment.
 fn run_point(freq: f64, db: &GraphDb, support: usize) -> String {
     let index = LabelPairIndex::build(db);
-
-    let fsg_cert = run_fsg(db, &index, support, true);
-    let fsg_legacy = run_fsg(db, &index, support, false);
-    assert_eq!(
-        fingerprint(&fsg_cert.pats),
-        fingerprint(&fsg_legacy.pats),
-        "fsg freq={freq}: certificate pipeline mined different patterns"
-    );
-    assert!(
-        fsg_cert.canon_calls < fsg_legacy.canon_calls,
-        "fsg freq={freq}: certificates did not reduce canonicalization \
-         ({} vs {})",
-        fsg_cert.canon_calls,
-        fsg_legacy.canon_calls
-    );
-
-    let gsp_cache = run_gspan(db, &index, support, true);
-    let gsp_plain = run_gspan(db, &index, support, false);
-    assert_eq!(
-        fingerprint(&gsp_cache.pats),
-        fingerprint(&gsp_plain.pats),
-        "gspan freq={freq}: canonical cache changed mined patterns"
-    );
-
-    let graphs: Vec<&Graph> = fsg_cert.pats.iter().map(|p| &p.graph).collect();
-    let (pruned_ns, unpruned_ns) = min_code_latency(&graphs);
+    let fsg = run_fsg(db, &index, support);
+    fsg.assert_one_canon_per_pattern(freq);
+    let gsp = run_gspan(db, &index, support);
 
     println!(
-        "freq={freq:<5} fsg cert {}s ({} canon, {} cert hits) vs legacy {}s ({} canon) | \
-         gspan cached {}s ({} canon, {} hits) vs plain {}s ({} canon) | \
-         min_dfs_code {:.0}ns pruned vs {:.0}ns unpruned over {} patterns",
-        secs(fsg_cert.time),
-        fsg_cert.canon_calls,
-        fsg_cert.cert_hits,
-        secs(fsg_legacy.time),
-        fsg_legacy.canon_calls,
-        secs(gsp_cache.time),
-        gsp_cache.canon_calls,
-        gsp_cache.cert_hits,
-        secs(gsp_plain.time),
-        gsp_plain.canon_calls,
-        pruned_ns,
-        unpruned_ns,
-        graphs.len()
+        "freq={freq:<5} fsg {}s ({} patterns, {} canon, {} cert hits) | gspan {}s ({} patterns, {} canon)",
+        secs(fsg.time),
+        fsg.pats.len(),
+        fsg.canon_calls,
+        fsg.cert_hits,
+        secs(gsp.time),
+        gsp.pats.len(),
+        gsp.canon_calls,
     );
 
     format!(
         "    {{ \"frequency\": {freq}, \"min_support\": {support}, \"patterns\": {}, \
-\"fsg_cert_s\": {}, \"fsg_cert_canon_calls\": {}, \"fsg_cert_hits\": {}, \
-\"fsg_legacy_s\": {}, \"fsg_legacy_canon_calls\": {}, \
-\"gspan_cached_s\": {}, \"gspan_cached_canon_calls\": {}, \"gspan_cached_cert_hits\": {}, \
-\"gspan_plain_s\": {}, \"gspan_plain_canon_calls\": {}, \
-\"min_code_pruned_ns\": {:.0}, \"min_code_unpruned_ns\": {:.0}, \
-\"outputs_identical\": true }}",
-        fsg_cert.pats.len(),
-        secs(fsg_cert.time),
-        fsg_cert.canon_calls,
-        fsg_cert.cert_hits,
-        secs(fsg_legacy.time),
-        fsg_legacy.canon_calls,
-        secs(gsp_cache.time),
-        gsp_cache.canon_calls,
-        gsp_cache.cert_hits,
-        secs(gsp_plain.time),
-        gsp_plain.canon_calls,
-        pruned_ns,
-        unpruned_ns
+\"fsg_s\": {}, \"fsg_canon_calls\": {}, \"fsg_cert_hits\": {}, \
+\"gspan_s\": {}, \"gspan_canon_calls\": {} }}",
+        fsg.pats.len(),
+        secs(fsg.time),
+        fsg.canon_calls,
+        fsg.cert_hits,
+        secs(gsp.time),
+        gsp.canon_calls,
     )
 }
 
@@ -231,45 +121,25 @@ fn main() {
     let data = aids_like(n, cli.seed);
 
     if cli.smoke {
-        // CI regression gate at the recorded operating point: the legacy
-        // count must stay at its measured level and certificates must
-        // beat it outright, with byte-identical output.
         let freq = 0.07;
         let support = ((freq * data.len() as f64).ceil() as usize).max(1);
         let index = LabelPairIndex::build(&data.db);
-        let cert = run_fsg(&data.db, &index, support, true);
-        let legacy = run_fsg(&data.db, &index, support, false);
-        assert_eq!(
-            fingerprint(&cert.pats),
-            fingerprint(&legacy.pats),
-            "smoke: certificate pipeline mined different patterns"
-        );
-        assert!(
-            cert.canon_calls <= DEFAULT_CANON_CALLS_CEILING,
-            "smoke: default-pipeline canonicalization count regressed \
-             ({} > {DEFAULT_CANON_CALLS_CEILING})",
-            cert.canon_calls
-        );
-        assert!(
-            cert.canon_calls < legacy.canon_calls,
-            "smoke: certificates no longer reduce canonicalization \
-             ({} vs {})",
-            cert.canon_calls,
-            legacy.canon_calls
-        );
+        let fsg = run_fsg(&data.db, &index, support);
+        fsg.assert_one_canon_per_pattern(freq);
         println!(
-            "smoke: freq={freq} OK — {} patterns, canon calls {} (cert) < {} (legacy), ceiling {}",
-            cert.pats.len(),
-            cert.canon_calls,
-            legacy.canon_calls,
-            DEFAULT_CANON_CALLS_CEILING
+            "smoke: freq={freq} OK — {} patterns, {} canon calls, {} cert hits",
+            fsg.pats.len(),
+            fsg.canon_calls,
+            fsg.cert_hits
         );
         return;
     }
 
+    let cores = resolve_threads(0);
     println!(
-        "# bench_canon — {} molecules, Fig. 9 frequency sweep",
-        data.len()
+        "# bench_canon — {} molecules, Fig. 9 frequency sweep, sequential ({} core(s))",
+        data.len(),
+        cores
     );
     let mut runs = Vec::new();
     for freq in [0.10, 0.07, 0.05] {
@@ -277,15 +147,13 @@ fn main() {
         runs.push(run_point(freq, &data.db, support));
     }
 
-    let symmetric = symmetric_stress();
-
     let json = format!(
-        "{{\n  \"bench\": \"canon\",\n  \"molecules\": {},\n  \"seed\": {},\n  \"max_patterns_cap\": {},\n  \"runs\": [\n{}\n  ],\n  \"symmetric_stress\": [\n{}\n  ],\n  \"outputs_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"canon\",\n  \"molecules\": {},\n  \"seed\": {},\n  \"cores\": {},\n  \"max_patterns_cap\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
         data.len(),
         cli.seed,
+        cores,
         MAX_PATTERNS,
-        runs.join(",\n"),
-        symmetric.join(",\n")
+        runs.join(",\n")
     );
     std::fs::write("BENCH_canon.json", &json).expect("write BENCH_canon.json");
     println!("wrote BENCH_canon.json");

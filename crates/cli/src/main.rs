@@ -207,6 +207,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         budget: parse_budget(&timeout_ms, &max_steps)?,
         ..defaults
     };
+    cfg.check()?;
     let top: usize = parse_or(&top, usize::MAX, "--top")?;
     let db = load_db(path)?;
 
@@ -620,9 +621,6 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
     let [pos_path, neg_path, query_path] = positional.as_slice() else {
         return Err("classify needs <positive.txt> <negative.txt> <query.txt>".into());
     };
-    let pos = load_db(pos_path)?;
-    let neg = load_db(neg_path)?;
-    let query = load_db(query_path)?;
     let defaults = GraphSigConfig::default();
     let cfg = KnnConfig {
         k: parse_or(&k, 9, "--k")?,
@@ -636,6 +634,10 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
         },
         ..Default::default()
     };
+    cfg.mining.check()?;
+    let pos = load_db(pos_path)?;
+    let neg = load_db(neg_path)?;
+    let query = load_db(query_path)?;
     let clf = GraphSigClassifier::train(&pos, &neg, cfg);
     let (np, nn) = clf.model_sizes();
     eprintln!(

@@ -47,6 +47,34 @@ fn mine_malformed_flag_values_name_the_flag() {
 }
 
 #[test]
+fn out_of_range_thresholds_name_the_field() {
+    // Parseable but out of range: a clean exit 1 naming the field, never a
+    // panic. Checked before any input file is read.
+    for (args, field) in [
+        (&["mine", "whatever.txt", "--min-freq", "2"][..], "min_freq"),
+        (
+            &["mine", "whatever.txt", "--max-pvalue", "1.5"],
+            "max_pvalue",
+        ),
+        (&["mine", "whatever.txt", "--fsm-freq", "0"], "fsm_freq"),
+        (
+            &["classify", "p.txt", "n.txt", "q.txt", "--min-freq", "2"],
+            "min_freq",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_graphsig"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("graphsig: "), "{err}");
+        assert!(err.contains(field), "diagnostic must name {field}: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn mine_dangling_flag_and_unknown_flag() {
     let (_, err, ok) = run(&["mine", "whatever.txt", "--radius"]);
     assert!(!ok);

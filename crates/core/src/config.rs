@@ -118,24 +118,38 @@ impl GraphSigConfig {
         self
     }
 
-    /// Validate ranges; called by [`crate::GraphSig::new`].
-    pub fn validate(&self) {
-        assert!(
-            self.max_pvalue >= 0.0 && self.max_pvalue <= 1.0,
-            "max_pvalue must be in [0,1]"
-        );
-        assert!(
-            self.min_freq > 0.0 && self.min_freq <= 1.0,
-            "min_freq must be in (0,1]"
-        );
-        assert!(
-            self.fsm_freq > 0.0 && self.fsm_freq <= 1.0,
-            "fsm_freq must be in (0,1]"
-        );
-        assert!(self.top_k_atoms >= 1, "top_k_atoms must be >= 1");
+    /// Check every range constraint, naming the first offending field.
+    /// Front ends (CLI, server) call this to reject bad input cleanly;
+    /// [`validate`](Self::validate) is the panicking form for library
+    /// misuse.
+    pub fn check(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.max_pvalue) {
+            return Err(format!(
+                "max_pvalue must be in [0,1], got {}",
+                self.max_pvalue
+            ));
+        }
+        if !(self.min_freq > 0.0 && self.min_freq <= 1.0) {
+            return Err(format!("min_freq must be in (0,1], got {}", self.min_freq));
+        }
+        if !(self.fsm_freq > 0.0 && self.fsm_freq <= 1.0) {
+            return Err(format!("fsm_freq must be in (0,1], got {}", self.fsm_freq));
+        }
+        if self.top_k_atoms < 1 {
+            return Err("top_k_atoms must be >= 1".into());
+        }
         // Every `threads` value is valid: 0 = auto, n >= 1 = exactly n
         // workers. Kept here so the convention is documented next to the
         // other range checks.
+        Ok(())
+    }
+
+    /// [`check`](Self::check), panicking on a violation; called by
+    /// [`crate::GraphSig::new`].
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 
     /// Absolute FVMine support threshold for a group of `group_size`
@@ -185,6 +199,25 @@ mod tests {
             ..Default::default()
         };
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_offending_field() {
+        assert_eq!(GraphSigConfig::default().check(), Ok(()));
+        let with = |edit: fn(&mut GraphSigConfig)| {
+            let mut c = GraphSigConfig::default();
+            edit(&mut c);
+            c
+        };
+        for (cfg, field) in [
+            (with(|c| c.max_pvalue = 1.5), "max_pvalue"),
+            (with(|c| c.min_freq = 2.0), "min_freq"),
+            (with(|c| c.fsm_freq = 0.0), "fsm_freq"),
+            (with(|c| c.min_freq = f64::NAN), "min_freq"),
+        ] {
+            let err = cfg.check().unwrap_err();
+            assert!(err.starts_with(field), "{err}");
+        }
     }
 
     #[test]

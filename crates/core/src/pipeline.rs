@@ -137,12 +137,13 @@ pub struct RunStats {
     pub match_steps: u64,
     /// Full canonical-code (`min_dfs_code` / restricted self-projection)
     /// computations performed during the FSM phase. Only tracked on
-    /// budgeted runs; the canonicalization-v2 certificate layer exists to
-    /// drive this number down.
+    /// budgeted runs. FSG spends exactly one per emitted pattern; gSpan
+    /// spends one `is_min` per search node.
     pub canon_calls: u64,
-    /// Canonicalization queries answered from certificates (dedup merges,
-    /// certificate-set apriori checks, canonical-cache hits) instead of a
-    /// full `min_dfs_code`. Only tracked on budgeted runs.
+    /// Canonicalization queries answered from certificates (FSG dedup
+    /// merges and certificate-set apriori checks) instead of a full
+    /// `min_dfs_code`. Only tracked on budgeted runs; gSpan runs report 0,
+    /// since its `is_min` gate has no certificate path.
     pub cert_hits: u64,
 }
 
@@ -898,8 +899,9 @@ mod budget_tests {
             outcome.result.stats.match_steps > 0,
             "no matcher steps attributed"
         );
-        // The FSM phase runs through the canonical cache: both sides of
-        // the canonicalization split are live on budgeted runs.
+        // The FSM phase (FSG by default) canonicalizes emitted patterns
+        // and answers everything else by certificate: both sides of the
+        // canonicalization split are live on budgeted runs.
         assert!(
             outcome.result.stats.canon_calls > 0,
             "no canonicalizations attributed"

@@ -28,9 +28,7 @@
 //!   JSON or compare across processes.
 //!
 //! The per-node stable colors are exposed too: within one graph, two nodes
-//! with different colors provably lie in different automorphism orbits,
-//! which lets the min-code search discard duplicate starting embeddings
-//! ([`pinned_automorphism`] supplies the exact verification step).
+//! with different colors provably lie in different automorphism orbits.
 
 use crate::control::Meter;
 use crate::graph::{Graph, NodeId};
@@ -156,125 +154,6 @@ pub fn certificate(g: &Graph) -> Certificate {
     refine(g).certificate
 }
 
-/// Exact automorphism search with pinned endpoints: does `g` admit an
-/// automorphism mapping `pins[i].0 → pins[i].1` for every pin?
-///
-/// Used by the min-code search to discard a starting embedding that is the
-/// image of an already-kept one under some automorphism. The search is
-/// exact but *bounded*: after `node_budget` backtracking assignments it
-/// gives up and returns `false`, which callers must treat as "unknown —
-/// keep both embeddings" (always sound, merely less pruning).
-///
-/// `colors` must be the stable WL colors of `g` (from [`refine`]); they
-/// prune the candidate sets. Requires a connected graph reachable from the
-/// pinned nodes (every caller passes endpoints of an edge of a connected
-/// graph).
-pub fn pinned_automorphism(
-    g: &Graph,
-    colors: &[u64],
-    pins: &[(NodeId, NodeId)],
-    node_budget: usize,
-) -> bool {
-    let n = g.node_count();
-    debug_assert_eq!(colors.len(), n);
-    let mut map: Vec<NodeId> = vec![NodeId::MAX; n];
-    let mut used = vec![false; n];
-
-    // A candidate image w for node v must agree on label, WL color, and
-    // degree, and every already-mapped neighbor of v must map to a
-    // neighbor of w joined by the same edge label. Injectivity plus equal
-    // edge counts then make a completed mapping a full automorphism.
-    let compatible = |map: &[NodeId], v: NodeId, w: NodeId| -> bool {
-        if g.node_label(v) != g.node_label(w)
-            || colors[v as usize] != colors[w as usize]
-            || g.degree(v) != g.degree(w)
-        {
-            return false;
-        }
-        for a in g.neighbors(v) {
-            let mu = map[a.to as usize];
-            if mu != NodeId::MAX && g.edge_label_between(w, mu) != Some(a.label) {
-                return false;
-            }
-        }
-        true
-    };
-
-    for &(v, w) in pins {
-        if !compatible(&map, v, w) || used[w as usize] {
-            return false;
-        }
-        map[v as usize] = w;
-        used[w as usize] = true;
-    }
-
-    // Assignment order: BFS from the pinned nodes so each new node has a
-    // mapped neighbor constraining its candidates.
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut queue: std::collections::VecDeque<NodeId> = pins.iter().map(|&(v, _)| v).collect();
-    for &(v, _) in pins {
-        seen[v as usize] = true;
-    }
-    while let Some(v) = queue.pop_front() {
-        for a in g.neighbors(v) {
-            if !seen[a.to as usize] {
-                seen[a.to as usize] = true;
-                order.push(a.to);
-                queue.push_back(a.to);
-            }
-        }
-    }
-    if order.len() + pins.len() < n {
-        // Unreached nodes (disconnected from the pins): refuse rather than
-        // guess. Callers only pass connected graphs.
-        return false;
-    }
-
-    struct Search<'a> {
-        g: &'a Graph,
-        order: &'a [NodeId],
-        budget: usize,
-    }
-    impl Search<'_> {
-        fn go(
-            &mut self,
-            depth: usize,
-            map: &mut [NodeId],
-            used: &mut [bool],
-            compatible: &dyn Fn(&[NodeId], NodeId, NodeId) -> bool,
-        ) -> bool {
-            if depth == self.order.len() {
-                return true;
-            }
-            let v = self.order[depth];
-            for w in self.g.nodes() {
-                if used[w as usize] || !compatible(map, v, w) {
-                    continue;
-                }
-                if self.budget == 0 {
-                    return false;
-                }
-                self.budget -= 1;
-                map[v as usize] = w;
-                used[w as usize] = true;
-                if self.go(depth + 1, map, used, compatible) {
-                    return true;
-                }
-                map[v as usize] = NodeId::MAX;
-                used[w as usize] = false;
-            }
-            false
-        }
-    }
-    Search {
-        g,
-        order: &order,
-        budget: node_budget,
-    }
-    .go(0, &mut map, &mut used, &compatible)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,37 +251,5 @@ mod tests {
         let mut b2 = GraphBuilder::new();
         b2.add_node(5);
         assert_ne!(certificate(&single), certificate(&b2.build()));
-    }
-
-    #[test]
-    fn pinned_automorphism_on_symmetric_cycle() {
-        // Unlabeled square: rotation maps any directed edge onto any other.
-        let g = cycle(&[0, 0, 0, 0], 1);
-        let colors = refine(&g).colors;
-        assert!(pinned_automorphism(&g, &colors, &[(0, 1), (1, 2)], 1000));
-        assert!(pinned_automorphism(&g, &colors, &[(0, 2), (1, 3)], 1000));
-        // Labeled square 0-1-0-1: node 0 cannot map onto node 1.
-        let g = cycle(&[0, 1, 0, 1], 1);
-        let colors = refine(&g).colors;
-        assert!(!pinned_automorphism(&g, &colors, &[(0, 1)], 1000));
-        assert!(pinned_automorphism(&g, &colors, &[(0, 2), (1, 3)], 1000));
-    }
-
-    #[test]
-    fn pinned_automorphism_rejects_on_asymmetric_path() {
-        let g = path(&[0, 0, 1], &[1, 1]);
-        let colors = refine(&g).colors;
-        // Reversal would need the two '0' ends to swap, but one is adjacent
-        // to the '1' end — no automorphism moves node 0 to node 1.
-        assert!(!pinned_automorphism(&g, &colors, &[(0, 1)], 1000));
-        // Identity always exists.
-        assert!(pinned_automorphism(&g, &colors, &[(0, 0), (1, 1)], 1000));
-    }
-
-    #[test]
-    fn zero_budget_gives_up_conservatively() {
-        let g = cycle(&[0; 6], 1);
-        let colors = refine(&g).colors;
-        assert!(!pinned_automorphism(&g, &colors, &[(0, 1), (1, 2)], 0));
     }
 }

@@ -23,9 +23,8 @@
 //!   target representation the fast matcher searches over, built once per
 //!   database and cached on the [`LabelPairIndex`].
 //! * [`invariant`] — isomorphism-invariant [`Certificate`]s via 1-WL
-//!   label/degree partition refinement, plus per-node orbit colors and a
-//!   bounded pinned automorphism search. The miners use certificates to
-//!   avoid `min_dfs_code` canonicalization except on genuine collisions.
+//!   label/degree partition refinement, plus per-node orbit colors. The
+//!   FSG miner uses certificates to canonicalize only emitted patterns.
 //! * [`index`] — [`LabelPairIndex`]: a database-wide index from
 //!   (node-label, edge-label, node-label) triples to per-graph edge
 //!   occurrence lists. Both baseline miners seed from it instead of

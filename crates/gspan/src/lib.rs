@@ -17,13 +17,11 @@
 //! Modules:
 //! * [`dfs_code`] — [`DfsEdge`], [`DfsCode`], the gSpan edge order,
 //!   rightmost-path computation, and code → graph reconstruction.
-//! * [`min_code`] — canonical (minimum) DFS code of a graph and the
-//!   incremental `is_min` test with early exit, both pruned by
-//!   automorphism-orbit dedup of starting embeddings (byte-identical
-//!   output; unpruned reference variants kept for differential tests).
-//! * [`canon`] — [`CanonCache`]: certificate-keyed cache of verified
-//!   minimal codes that answers repeated `is_min` queries for isomorphic
-//!   search nodes without re-running the self-projection.
+//! * [`min_code`] — canonical (minimum) DFS code of a graph by restricted
+//!   self-projection, and the `is_min` test that runs the same projection
+//!   against a candidate code with early exit at the first divergence. The
+//!   miner calls `is_min` directly at every search node; there is no cache
+//!   or embedding pruning in front of it (DESIGN.md §5e says why).
 //! * [`miner`] — the projected pattern-growth search over a [`GraphDb`](graphsig_graph::GraphDb).
 //! * [`pattern`] — mined [`Pattern`]s and closed / maximal post-filters.
 //!
@@ -43,16 +41,14 @@
 //! assert!(patterns.iter().any(|p| p.graph.edge_count() == 1 && p.support == 2));
 //! ```
 
-pub mod canon;
 pub mod dfs_code;
 mod extend;
 pub mod min_code;
 pub mod miner;
 pub mod pattern;
 
-pub use canon::CanonCache;
 pub use dfs_code::{DfsCode, DfsEdge};
-pub use min_code::{is_min, is_min_unpruned, min_dfs_code, min_dfs_code_unpruned};
+pub use min_code::{is_min, min_dfs_code};
 pub use miner::{GSpan, MinerConfig};
 pub use pattern::{
     filter_closed, filter_closed_with, filter_maximal, filter_maximal_with, Pattern,

@@ -18,13 +18,7 @@
 
 use crate::dfs_code::{extension_order, DfsCode, DfsEdge};
 use crate::extend::{enumerate_extensions_framed, ExtFrame, Extension};
-use graphsig_graph::invariant::{pinned_automorphism, refine};
 use graphsig_graph::{Graph, NodeId};
-
-/// Backtracking-assignment cap for one pinned automorphism check during
-/// embedding pruning. Generous for molecule-sized graphs; on overrun the
-/// check gives up and the embedding is kept (sound, just less pruning).
-const AUT_SEARCH_BUDGET: usize = 2_000;
 
 /// Membership sets for one self-embedding: which graph nodes and edges the
 /// matched prefix occupies. Two backings — dense bitmasks for small graphs,
@@ -112,53 +106,9 @@ impl<S: UsedSets> SelfEmb<S> {
     }
 }
 
-/// Drop initial embeddings that are automorphic images of an earlier kept
-/// one. Two automorphic embeddings of the initial edge generate *identical*
-/// extension streams at every level of the self-projection (an automorphism
-/// maps legal extensions of one prefix embedding bijectively onto legal
-/// extensions of the other, preserving every DFS-edge tuple), so the
-/// minimum over the pruned set equals the minimum over the full set and
-/// the resulting code — or is_min verdict — is byte-identical.
-///
-/// The filter is exact: WL orbit colors cheaply separate provably
-/// non-automorphic pairs (different colors ⇒ different orbits ⇒ keep), and
-/// a bounded [`pinned_automorphism`] search confirms the rest. A failed or
-/// over-budget search keeps the embedding — sound in both directions.
-/// Do any two initial embeddings share the `(deg(from), deg(to))`
-/// signature? Automorphic duplicates must (automorphisms preserve
-/// degrees), so a `false` here proves the embedding set is already
-/// duplicate-free and the refinement pass can be skipped. O(k²) over the
-/// handful of starting embeddings, with no allocation.
-fn has_degree_twin<S: UsedSets>(g: &Graph, embs: &[SelfEmb<S>]) -> bool {
-    let sig = |emb: &SelfEmb<S>| (g.degree(emb.nodes[0]), g.degree(emb.nodes[1]));
-    embs.iter().enumerate().any(|(i, a)| {
-        let sa = sig(a);
-        embs[..i].iter().any(|b| sig(b) == sa)
-    })
-}
-
-fn prune_automorphic_embeddings<S: UsedSets>(g: &Graph, embs: &mut Vec<SelfEmb<S>>) {
-    let colors = refine(g).colors;
-    let mut kept: Vec<(NodeId, NodeId)> = Vec::with_capacity(embs.len());
-    embs.retain(|emb| {
-        let (from, to) = (emb.nodes[0], emb.nodes[1]);
-        let dup = kept.iter().any(|&(kf, kt)| {
-            colors[from as usize] == colors[kf as usize]
-                && colors[to as usize] == colors[kt as usize]
-                && pinned_automorphism(g, &colors, &[(from, kf), (to, kt)], AUT_SEARCH_BUDGET)
-        });
-        if !dup {
-            kept.push((from, to));
-        }
-        !dup
-    });
-}
-
 /// Shared driver: either record the minimum code (check = `None`) or verify
 /// a candidate prefix-by-prefix, returning `None` on the first mismatch.
-/// With `prune`, automorphic-duplicate starting embeddings are discarded
-/// (see [`prune_automorphic_embeddings`] for why output is unchanged).
-fn build_min_with<S: UsedSets>(g: &Graph, check: Option<&DfsCode>, prune: bool) -> Option<DfsCode> {
+fn build_min_with<S: UsedSets>(g: &Graph, check: Option<&DfsCode>) -> Option<DfsCode> {
     // Minimum initial edge over all directed orientations.
     let mut best_key: Option<(u16, u16, u16)> = None;
     for e in g.edges() {
@@ -200,19 +150,6 @@ fn build_min_with<S: UsedSets>(g: &Graph, check: Option<&DfsCode>, prune: bool) 
                 });
             }
         }
-    }
-
-    // Pruning pays when several embeddings survive the whole projection
-    // (symmetric graphs); a single-edge graph never enters the loop at all.
-    // In check mode most candidates diverge within a level or two, so
-    // demand more duplicates before spending a refinement pass. The
-    // degree-signature pre-filter skips the refinement pass entirely when
-    // no two embeddings could possibly be automorphic images (an
-    // automorphism preserves degrees), which is the common asymmetric
-    // case — there the pruning attempt would be pure overhead.
-    let prune_threshold = if check.is_some() { 8 } else { 6 };
-    if prune && g.edge_count() >= 2 && embs.len() >= prune_threshold && has_degree_twin(g, &embs) {
-        prune_automorphic_embeddings(g, &mut embs);
     }
 
     while code.len() < g.edge_count() {
@@ -261,7 +198,7 @@ fn build_min_with<S: UsedSets>(g: &Graph, check: Option<&DfsCode>, prune: bool) 
 /// Backing dispatch: bitmask embeddings whenever they fit, `Vec<bool>`
 /// otherwise. Both paths walk identical extension orders, so the resulting
 /// code is independent of the backing.
-fn build_min(g: &Graph, check: Option<&DfsCode>, prune: bool) -> Option<DfsCode> {
+fn build_min(g: &Graph, check: Option<&DfsCode>) -> Option<DfsCode> {
     if g.edge_count() == 0 {
         // Edgeless graphs have the empty code; a candidate must be empty too.
         return match check {
@@ -270,9 +207,9 @@ fn build_min(g: &Graph, check: Option<&DfsCode>, prune: bool) -> Option<DfsCode>
         };
     }
     if g.node_count() <= 128 && g.edge_count() <= 128 {
-        build_min_with::<MaskSets>(g, check, prune)
+        build_min_with::<MaskSets>(g, check)
     } else {
-        build_min_with::<VecSets>(g, check, prune)
+        build_min_with::<VecSets>(g, check)
     }
 }
 
@@ -287,15 +224,7 @@ fn build_min(g: &Graph, check: Option<&DfsCode>, prune: bool) -> Option<DfsCode>
 /// code).
 pub fn min_dfs_code(g: &Graph) -> DfsCode {
     assert!(g.is_connected(), "min_dfs_code requires a connected graph");
-    build_min(g, None, true).expect("building without a check cannot fail")
-}
-
-/// [`min_dfs_code`] with automorphism-orbit embedding pruning disabled —
-/// the straight-line reference the proptests and `bench_canon` compare the
-/// pruned production path against. Byte-identical output by construction.
-pub fn min_dfs_code_unpruned(g: &Graph) -> DfsCode {
-    assert!(g.is_connected(), "min_dfs_code requires a connected graph");
-    build_min(g, None, false).expect("building without a check cannot fail")
+    build_min(g, None).expect("building without a check cannot fail")
 }
 
 /// Whether `code` is the minimum DFS code of the graph it describes.
@@ -307,25 +236,7 @@ pub fn is_min(code: &DfsCode) -> bool {
     if code.is_empty() {
         return true;
     }
-    let g = code.to_graph();
-    is_min_of_graph(&g, code)
-}
-
-/// [`is_min`] with embedding pruning disabled (differential-testing
-/// reference, like [`min_dfs_code_unpruned`]).
-pub fn is_min_unpruned(code: &DfsCode) -> bool {
-    if code.is_empty() {
-        return true;
-    }
-    let g = code.to_graph();
-    build_min(&g, Some(code), false).is_some()
-}
-
-/// [`is_min`] against a pre-built graph of `code` — lets the cached gate
-/// reuse the `to_graph()` it already materialized for the certificate.
-pub(crate) fn is_min_of_graph(g: &Graph, code: &DfsCode) -> bool {
-    debug_assert_eq!(g.edge_count(), code.len());
-    build_min(g, Some(code), true).is_some()
+    build_min(&code.to_graph(), Some(code)).is_some()
 }
 
 #[cfg(test)]
@@ -389,12 +300,21 @@ mod tests {
 
     #[test]
     fn min_code_is_min() {
+        // The symmetric inputs (uniform and alternating cycles, palindromic
+        // paths) give the self-projection many equivalent starting
+        // embeddings that must all collapse onto one code.
         for g in [
             cycle(&[0, 1, 2, 3, 4, 5], 1),
             labeled_path(&[9, 8, 7, 8, 9], &[1, 2, 2, 1]),
             cycle(&[0, 0, 0, 0], 0),
+            cycle(&[0; 6], 1),
+            cycle(&[0, 1, 0, 1], 2),
+            labeled_path(&[3, 3, 3, 3], &[1, 1, 1]),
+            cycle(&[0, 0, 1, 0, 0, 1], 1),
         ] {
-            assert!(is_min(&min_dfs_code(&g)));
+            let c = min_dfs_code(&g);
+            assert!(is_min(&c));
+            assert!(are_isomorphic(&c.to_graph(), &g));
         }
     }
 
@@ -408,6 +328,12 @@ mod tests {
         let mut good = DfsCode::from_initial(0, 0, 1);
         good.push(DfsEdge::new(1, 2, 1, 0, 2));
         assert!(is_min(&good));
+        // A star rooted at a leaf: `is_min` rejects exactly the codes that
+        // differ from the graph's minimum code.
+        let mut star = DfsCode::from_initial(0, 1, 0);
+        star.push(DfsEdge::new(0, 2, 0, 1, 0));
+        star.push(DfsEdge::new(2, 3, 0, 1, 0));
+        assert_eq!(is_min(&star), min_dfs_code(&star.to_graph()) == star);
     }
 
     #[test]
@@ -438,37 +364,10 @@ mod tests {
             labeled_path(&[4, 3, 2, 1, 0], &[1, 1, 2, 2]),
             cycle(&[0; 6], 1),
         ] {
-            let mask = build_min_with::<MaskSets>(&g, None, true).unwrap();
-            let vec = build_min_with::<VecSets>(&g, None, true).unwrap();
+            let mask = build_min_with::<MaskSets>(&g, None).unwrap();
+            let vec = build_min_with::<VecSets>(&g, None).unwrap();
             assert_eq!(mask, vec);
         }
-    }
-
-    #[test]
-    fn pruned_and_unpruned_agree_on_symmetric_graphs() {
-        // Highly symmetric graphs exercise the orbit pruning hardest: the
-        // 6-ring has 12 automorphic initial embeddings that collapse to 1.
-        for g in [
-            cycle(&[0; 6], 1),
-            cycle(&[0, 1, 0, 1], 2),
-            labeled_path(&[3, 3, 3, 3], &[1, 1, 1]),
-            labeled_path(&[9, 8, 7, 8, 9], &[1, 2, 2, 1]),
-            cycle(&[0, 0, 1, 0, 0, 1], 1),
-        ] {
-            let pruned = min_dfs_code(&g);
-            let unpruned = min_dfs_code_unpruned(&g);
-            assert_eq!(pruned, unpruned);
-            assert!(is_min(&pruned));
-            assert!(is_min_unpruned(&pruned));
-        }
-    }
-
-    #[test]
-    fn pruned_and_unpruned_is_min_agree_on_non_minimal_codes() {
-        let mut bad = DfsCode::from_initial(0, 1, 0);
-        bad.push(DfsEdge::new(0, 2, 0, 1, 0));
-        bad.push(DfsEdge::new(2, 3, 0, 1, 0));
-        assert_eq!(is_min(&bad), is_min_unpruned(&bad));
     }
 
     #[test]

@@ -1301,18 +1301,9 @@ impl ServerInner {
             matcher: r.matcher.unwrap_or_default(),
             ..defaults
         };
-        let in_range = (0.0..=1.0).contains(&cfg.max_pvalue)
-            && cfg.min_freq > 0.0
-            && cfg.min_freq <= 1.0
-            && cfg.fsm_freq > 0.0
-            && cfg.fsm_freq <= 1.0;
-        if !in_range {
-            // GraphSig::new asserts on these; reject structured instead.
-            return Some(Response::error(
-                &r.id,
-                "mine",
-                "thresholds out of range: need max_pvalue in [0,1], min_freq and fsm_freq in (0,1]",
-            ));
+        if let Err(e) = cfg.check() {
+            // GraphSig::new panics on these; reject structured instead.
+            return Some(Response::error(&r.id, "mine", e));
         }
         let top = r.top.unwrap_or(usize::MAX);
         let degraded = dataset.degraded();

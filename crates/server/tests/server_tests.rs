@@ -447,6 +447,14 @@ fn duplicate_ids_and_unknown_datasets_are_structured_errors() {
     // A duplicate id while the first is still in flight is rejected.
     server.dispatch_line("load id=L dataset=d gen=aids count=30 seed=1", &out);
     wait_all(&sink, &["L".to_string()]);
+
+    // Out-of-range thresholds are rejected with the field named.
+    server.dispatch_line("mine id=bad dataset=d fsm_freq=1.5", &out);
+    let responses = wait_all(&sink, &["bad".to_string()]);
+    let (h, _) = responses.iter().find(|(h, _)| h.id == "bad").unwrap();
+    assert_eq!(h.status, Status::Error);
+    assert!(h.field("error").unwrap().contains("fsm_freq"), "{h:?}");
+
     server.dispatch_line("mine id=dup dataset=d sleep_ms=2000", &out);
     // Wait until it is executing, then collide.
     let deadline = Instant::now() + Duration::from_secs(30);

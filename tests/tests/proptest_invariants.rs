@@ -9,7 +9,7 @@ use graphsig_graph::{
     are_isomorphic, CompiledGraph, Graph, GraphBuilder, MatchOutcome, MatcherKind, MultiMatcher,
     SubgraphMatcher,
 };
-use graphsig_gspan::{is_min, is_min_unpruned, min_dfs_code, min_dfs_code_unpruned};
+use graphsig_gspan::{is_min, min_dfs_code};
 use graphsig_stats::{binomial_tail_upper, Binomial};
 
 /// Strategy: a small random connected labeled graph (tree + extra edges).
@@ -131,26 +131,13 @@ proptest! {
     }
 
     #[test]
-    fn pruned_min_code_agrees_with_reference(g in connected_graph(), seed in any::<u64>()) {
-        // Automorphism-orbit pruning of starting embeddings must be
-        // invisible: identical canonical code, also under relabeling.
-        prop_assert_eq!(min_dfs_code(&g), min_dfs_code_unpruned(&g));
-        let p = permuted(&g, seed);
-        prop_assert_eq!(min_dfs_code(&p), min_dfs_code_unpruned(&p));
-    }
-
-    #[test]
-    fn pruned_is_min_agrees_with_reference(
-        g in connected_graph(),
+    fn is_min_agrees_with_min_code_on_path_codes(
         labels in prop::collection::vec((0u16..3, 0u16..2), 1..7),
     ) {
         use graphsig_gspan::{DfsCode, DfsEdge};
-        // The minimal code says yes in both variants.
-        let code = min_dfs_code(&g);
-        prop_assert!(is_min(&code) && is_min_unpruned(&code));
         // Random path codes are valid DFS codes but often rooted at the
-        // wrong end (non-minimal), exercising the rejection branch; the
-        // verdicts must match exactly either way.
+        // wrong end (non-minimal), exercising the rejection branch: the
+        // early-exit verdict must match a full canonicalization exactly.
         let mut path = DfsCode::from_initial(labels[0].0, labels[0].1, labels.get(1).map_or(0, |l| l.0));
         for (i, w) in labels.windows(2).enumerate() {
             let next_label = labels.get(i + 2).map_or(0, |l| l.0);
@@ -162,7 +149,7 @@ proptest! {
                 next_label,
             ));
         }
-        prop_assert_eq!(is_min(&path), is_min_unpruned(&path));
+        prop_assert_eq!(is_min(&path), min_dfs_code(&path.to_graph()) == path);
     }
 
     #[test]
@@ -350,28 +337,27 @@ proptest! {
     }
 
     #[test]
-    fn miners_are_certificate_oblivious(seed in any::<u64>()) {
+    fn fsg_matches_gspan_on_random_databases(seed in any::<u64>()) {
         use graphsig_fsg::{Fsg, FsgConfig};
         use graphsig_gspan::{GSpan, MinerConfig};
-        // Certificates and canonical caches are pure accelerators: mined
-        // pattern lists must be byte-identical with them on or off.
+        // Breadth-first certificate levels and depth-first `is_min` growth
+        // share no search code: each is the other's oracle. Sorted by code,
+        // both must mine the same (code, support, gids) set.
         let mut db = graphsig_graph::GraphDb::new();
         for i in 0..6u64 {
             db.push(lcg_graph(seed ^ (i.wrapping_mul(0x9E3779B97F4A7C15))));
         }
-        let key = |p: &graphsig_gspan::Pattern| (p.code.clone(), p.support, p.gids.clone());
-        let fsg_on = Fsg::new(FsgConfig::new(2).with_max_edges(4)).mine(&db);
-        let fsg_off = Fsg::new(FsgConfig::new(2).with_max_edges(4).with_certificates(false)).mine(&db);
-        prop_assert_eq!(
-            fsg_on.iter().map(key).collect::<Vec<_>>(),
-            fsg_off.iter().map(key).collect::<Vec<_>>()
-        );
-        let gsp_on = GSpan::new(MinerConfig::new(2).with_max_edges(4)).mine(&db);
-        let gsp_off = GSpan::new(MinerConfig::new(2).with_max_edges(4).with_canon_cache(false)).mine(&db);
-        prop_assert_eq!(
-            gsp_on.iter().map(key).collect::<Vec<_>>(),
-            gsp_off.iter().map(key).collect::<Vec<_>>()
-        );
+        let sorted = |pats: Vec<graphsig_gspan::Pattern>| {
+            let mut keys: Vec<_> = pats
+                .into_iter()
+                .map(|p| (format!("{:?}", p.code), p.support, p.gids))
+                .collect();
+            keys.sort();
+            keys
+        };
+        let fsg = Fsg::new(FsgConfig::new(2).with_max_edges(4)).mine(&db);
+        let gsp = GSpan::new(MinerConfig::new(2).with_max_edges(4)).mine(&db);
+        prop_assert_eq!(sorted(fsg), sorted(gsp));
     }
 
     #[test]
