@@ -1,6 +1,7 @@
 //! Protocol-level tests of `graphsig serve` as a real child process on
-//! stdio: mine responses must be byte-identical to the one-shot CLI,
-//! warm requests must hit the shared cache, and EOF must drain cleanly.
+//! stdio and TCP: mine responses must be byte-identical to the one-shot
+//! CLI at any worker count, warm requests must hit the shared cache, and
+//! EOF must drain cleanly.
 
 use std::io::{BufRead, Read, Write};
 use std::process::{Command, Stdio};
@@ -52,11 +53,11 @@ fn response<'a>(
         .unwrap_or_else(|| panic!("no response for {id}"))
 }
 
-#[test]
-fn server_mine_is_byte_identical_to_one_shot_cli() {
-    // One-shot CLI run: generate a dataset file, mine it, keep stdout.
-    let dir = std::env::temp_dir().join(format!("graphsig-serve-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+/// Generate an 80-graph dataset file in `dir` and return its path plus
+/// the one-shot CLI's `mine` stdout for it — the bytes every server mine
+/// over the same file must reproduce.
+fn one_shot_fixture(dir: &std::path::Path) -> (String, Vec<u8>) {
+    std::fs::create_dir_all(dir).expect("temp dir");
     let file = dir.join("db.txt");
     let gen = graphsig()
         .args(["generate", "aids", "80", "--seed", "11"])
@@ -64,10 +65,11 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
         .expect("generate");
     assert!(gen.status.success());
     std::fs::write(&file, &gen.stdout).expect("write dataset");
+    let file = file.to_str().expect("utf-8 path").to_string();
     let mine = graphsig()
         .args([
             "mine",
-            file.to_str().expect("utf-8 path"),
+            &file,
             "--min-freq",
             "0.05",
             "--max-pvalue",
@@ -78,21 +80,39 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
         .output()
         .expect("one-shot mine");
     assert!(mine.status.success());
-    let one_shot = mine.stdout;
+    (file, mine.stdout)
+}
+
+const MINE_D: &str = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3";
+
+/// Pipelined scripts run at each of these `--workers` counts: whatever
+/// the box's core count, the ordering rule (DESIGN §5c) must make their
+/// answers identical.
+const WORKER_COUNTS: [&str; 3] = ["1", "2", "4"];
+
+fn at_each_worker_count(case: fn(&str)) {
+    for workers in WORKER_COUNTS {
+        eprintln!("--workers {workers}");
+        case(workers);
+    }
+}
+
+#[test]
+fn server_mine_is_byte_identical_to_one_shot_cli() {
+    let dir = std::env::temp_dir().join(format!("graphsig-serve-test-{}", std::process::id()));
+    let (file, one_shot) = one_shot_fixture(&dir);
 
     // Same mine through the server: load the same file, ask twice (cold
-    // then warm), plus a step-budgeted request for the bypass path.
-    let script = format!(
-        "load id=L dataset=d path={}\n\
-         mine id=cold dataset=d min_freq=0.05 max_pvalue=0.05 radius=3\n\
-         mine id=warm dataset=d min_freq=0.05 max_pvalue=0.05 radius=3\n\
-         mine id=steps dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 max_steps=50\n\
-         stats id=S dataset=d\n",
-        file.to_str().expect("utf-8 path")
-    );
-    let responses = serve_script(&[], &script);
-    std::fs::remove_dir_all(&dir).ok();
-
+    // then warm), plus a step-budgeted request for the bypass path. Each
+    // follow-up waits for the answer it depends on: a `warm` pipelined
+    // behind `cold` may ride cold's flight (DESIGN §5g) instead of hitting
+    // the cache, and a pipelined `stats` may run before `warm` touches it.
+    let (mut child, addr) = spawn_tcp(&[]);
+    let mut c = Client::connect(&addr);
+    c.send(&format!(
+        "load id=L dataset=d path={file}\n{MINE_D} id=cold\n"
+    ));
+    let responses = c.wait(&["L", "cold"]);
     let (l, _) = response(&responses, "L");
     assert_eq!(l.status, Status::Ok, "load: {l:?}");
     let (cold, cold_body) = response(&responses, "cold");
@@ -101,23 +121,83 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
         cold_body, &one_shot,
         "server mine payload differs from one-shot CLI stdout"
     );
+    c.send(&format!("{MINE_D} id=warm\n"));
+    let responses = c.wait(&["warm"]);
     let (warm, warm_body) = response(&responses, "warm");
     assert_eq!(warm.field("cached"), Some("hit"), "{warm:?}");
     assert_eq!(warm_body, &one_shot, "cache hit changed the bytes");
+    c.send(&format!("{MINE_D} id=steps max_steps=50\n"));
+    let responses = c.wait(&["steps"]);
     let (steps, _) = response(&responses, "steps");
     assert_eq!(steps.field("cached"), Some("bypass"));
+    c.send("stats id=S dataset=d\n");
+    let responses = c.wait(&["S"]);
     let (stats, _) = response(&responses, "S");
     assert_eq!(stats.field("prepared_hits"), Some("1"), "{stats:?}");
     assert_eq!(stats.field("prepared_bypasses"), Some("1"));
+    c.send("shutdown id=bye\n");
+    c.wait(&["bye"]);
+    assert!(child.wait().expect("child exits").success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pipelined_identical_mines_are_byte_identical_at_any_worker_count() {
+    let dir = std::env::temp_dir().join(format!("graphsig-serve-pipe-{}", std::process::id()));
+    let (file, one_shot) = one_shot_fixture(&dir);
+    for workers in WORKER_COUNTS {
+        // `load`, `cold` and `warm` back to back: `warm` either rides
+        // cold's flight or, if cold already finished, hits the cache —
+        // exactly one of the two, whichever the workers make of it.
+        let (mut child, addr) = spawn_tcp(&["--workers", workers]);
+        let mut c = Client::connect(&addr);
+        c.send(&format!(
+            "load id=L dataset=d path={file}\n{MINE_D} id=cold\n{MINE_D} id=warm\n"
+        ));
+        let responses = c.wait(&["L", "cold", "warm"]);
+        for id in ["L", "cold", "warm"] {
+            let (h, _) = response(&responses, id);
+            assert_eq!(h.status, Status::Ok, "workers={workers}: {h:?}");
+        }
+        for id in ["cold", "warm"] {
+            let (_, body) = response(&responses, id);
+            assert_eq!(
+                body, &one_shot,
+                "workers={workers}: {id} differs from one-shot"
+            );
+        }
+        c.send("stats id=S dataset=d\nstats id=G\n");
+        let responses = c.wait(&["S", "G"]);
+        let count = |id: &str, key: &str| -> u64 {
+            let (h, _) = response(&responses, id);
+            h.field(key).and_then(|v| v.parse().ok()).expect(key)
+        };
+        assert_eq!(
+            count("S", "prepared_hits") + count("G", "coalesce_riders"),
+            1,
+            "workers={workers}: warm must either hit the cache or ride cold"
+        );
+        c.send("shutdown id=bye\n");
+        c.wait(&["bye"]);
+        assert!(child.wait().expect("child exits").success());
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn packed_and_appended_loads_mine_byte_identical_to_text() {
+    at_each_worker_count(packed_and_appended_loads_mine_byte_identical_to_text_at);
+}
+
+fn packed_and_appended_loads_mine_byte_identical_to_text_at(workers: &str) {
     // Two disjoint generated sets: `a` seeds the store, `b` arrives later.
     // Mining must produce byte-identical payloads whether the data came
     // from (1) the concatenated text, (2) a packed store of the
     // concatenation, or (3) a packed store of `a` with `b` appended live.
-    let dir = std::env::temp_dir().join(format!("graphsig-serve-pack-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "graphsig-serve-pack-{}-{workers}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
     let gen_a = graphsig()
@@ -176,7 +256,7 @@ fn packed_and_appended_loads_mine_byte_identical_to_text() {
         b = b_txt.to_str().expect("utf-8"),
         mf = mine_flags,
     );
-    let responses = serve_script(&[], &script);
+    let responses = serve_script(&["--workers", workers], &script);
     std::fs::remove_dir_all(&dir).ok();
 
     let (lt, _) = response(&responses, "LT");
@@ -216,9 +296,16 @@ fn packed_and_appended_loads_mine_byte_identical_to_text() {
 
 #[test]
 fn degraded_store_still_serves_and_says_so() {
+    at_each_worker_count(degraded_store_still_serves_and_says_so_at);
+}
+
+fn degraded_store_still_serves_and_says_so_at(workers: &str) {
     // Corrupt one shard of a packed store: the server must quarantine it,
     // keep serving the survivors, and stamp every answer `degraded=K/N`.
-    let dir = std::env::temp_dir().join(format!("graphsig-serve-degraded-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "graphsig-serve-degraded-{}-{workers}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
     let gen = graphsig()
@@ -252,7 +339,7 @@ fn degraded_store_still_serves_and_says_so() {
          stats id=S dataset=d\n",
         store.to_str().expect("utf-8")
     );
-    let responses = serve_script(&[], &script);
+    let responses = serve_script(&["--workers", workers], &script);
     std::fs::remove_dir_all(&dir).ok();
 
     let (l, _) = response(&responses, "L");
@@ -307,10 +394,17 @@ fn pack_store(dir: &std::path::Path, name: &str, n: u32, seed: u32) -> std::path
 
 #[test]
 fn append_preserves_degraded_state() {
+    at_each_worker_count(append_preserves_degraded_state_at);
+}
+
+fn append_preserves_degraded_state_at(workers: &str) {
     // Regression: appending to a degraded packed dataset used to rebuild
     // the store summary from the *append* request alone, silently clearing
     // `degraded=K/N` (and quarantine counts) from every later response.
-    let dir = std::env::temp_dir().join(format!("graphsig-serve-appdeg-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "graphsig-serve-appdeg-{}-{workers}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
     let store = pack_store(&dir, "store", 64, 3);
@@ -335,7 +429,7 @@ fn append_preserves_degraded_state() {
         store.to_str().expect("utf-8"),
         extra_txt.to_str().expect("utf-8"),
     );
-    let responses = serve_script(&[], &script);
+    let responses = serve_script(&["--workers", workers], &script);
     std::fs::remove_dir_all(&dir).ok();
 
     let (l1, _) = response(&responses, "L1");
@@ -359,10 +453,17 @@ fn append_preserves_degraded_state() {
 
 #[test]
 fn packed_append_keeps_per_shard_segments() {
+    at_each_worker_count(packed_append_keeps_per_shard_segments_at);
+}
+
+fn packed_append_keeps_per_shard_segments_at(workers: &str) {
     // Regression: a packed append used to collapse the appended store's
     // shards into a single index slot, so lazy per-segment index builds
     // lost their shard granularity (and `segments` undercounted).
-    let dir = std::env::temp_dir().join(format!("graphsig-serve-appseg-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "graphsig-serve-appseg-{}-{workers}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
     let store_a = pack_store(&dir, "store-a", 60, 7); // 60/16 -> 4 shards
@@ -376,7 +477,7 @@ fn packed_append_keeps_per_shard_segments() {
         store_a.to_str().expect("utf-8"),
         store_b.to_str().expect("utf-8"),
     );
-    let responses = serve_script(&[], &script);
+    let responses = serve_script(&["--workers", workers], &script);
     std::fs::remove_dir_all(&dir).ok();
 
     let (l2, _) = response(&responses, "L2");

@@ -39,8 +39,7 @@
 //! which is within the documented best-effort deadline contract.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use graphsig_core::{CancelToken, WindowKey};
 use graphsig_graph::control::Outcome;
@@ -129,13 +128,6 @@ struct FlightEntry {
     riders: Vec<Rider>,
 }
 
-#[derive(Default)]
-struct CoalescerState {
-    flights: HashMap<MineKey, FlightEntry>,
-    /// Rider id -> the flight it is attached to (for cancel routing).
-    by_rider: HashMap<String, MineKey>,
-}
-
 /// Outcome of [`Coalescer::join`].
 pub(crate) enum Joined {
     /// This request leads a new flight: run the pipeline under `group`,
@@ -149,41 +141,32 @@ pub(crate) enum Joined {
     Attached,
 }
 
-/// Single-flight registry for `mine` requests. One mutex guards the whole
-/// state — flights are touched a handful of times per request, never in a
-/// hot loop, so contention is irrelevant and lock-ordering bugs are
-/// structurally impossible.
+/// Single-flight registry for `mine` requests. Plain data: it lives in
+/// the server's one locked `State`, so every method runs under that lock
+/// and no flight can be observed half-updated.
 #[derive(Default)]
 pub(crate) struct Coalescer {
-    state: Mutex<CoalescerState>,
+    flights: HashMap<MineKey, FlightEntry>,
+    /// Rider id -> the flight it is attached to (for cancel routing).
+    by_rider: HashMap<String, MineKey>,
     /// Flights created (a coalesce "miss": someone had to run it).
-    leads: AtomicU64,
+    pub(crate) leads: u64,
     /// Requests attached to an existing flight (a coalesce "hit").
-    riders_attached: AtomicU64,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+    pub(crate) riders: u64,
 }
 
 impl Coalescer {
     /// Join the flight for `key`, creating it (with `rider` as leader) if
     /// none is in flight.
-    pub(crate) fn join(&self, key: &MineKey, rider: Rider, ctx: FlightCtx) -> Joined {
-        let mut st = lock(&self.state);
-        if st.flights.contains_key(key) {
-            st.by_rider.insert(rider.id.clone(), key.clone());
-            st.flights
-                .get_mut(key)
-                .expect("flight just found")
-                .riders
-                .push(rider);
-            self.riders_attached.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn join(&mut self, key: &MineKey, rider: Rider, ctx: FlightCtx) -> Joined {
+        self.by_rider.insert(rider.id.clone(), key.clone());
+        if let Some(entry) = self.flights.get_mut(key) {
+            entry.riders.push(rider);
+            self.riders += 1;
             return Joined::Attached;
         }
         let group = CancelToken::new();
-        st.by_rider.insert(rider.id.clone(), key.clone());
-        st.flights.insert(
+        self.flights.insert(
             key.clone(),
             FlightEntry {
                 leader_id: rider.id.clone(),
@@ -192,20 +175,19 @@ impl Coalescer {
                 riders: vec![rider],
             },
         );
-        self.leads.fetch_add(1, Ordering::Relaxed);
+        self.leads += 1;
         Joined::Lead { group }
     }
 
     /// Close the flight for `key` and hand back every rider still attached
     /// (riders that cancelled individually already responded and are gone).
     /// After this returns, new identical requests start a fresh flight.
-    pub(crate) fn finish(&self, key: &MineKey) -> Vec<Rider> {
-        let mut st = lock(&self.state);
-        let Some(entry) = st.flights.remove(key) else {
+    pub(crate) fn finish(&mut self, key: &MineKey) -> Vec<Rider> {
+        let Some(entry) = self.flights.remove(key) else {
             return Vec::new();
         };
         for r in &entry.riders {
-            st.by_rider.remove(&r.id);
+            self.by_rider.remove(&r.id);
         }
         entry.riders
     }
@@ -213,15 +195,11 @@ impl Coalescer {
     /// The flight led by `leader_id`, torn down because its leader
     /// panicked: every remaining rider must receive an error response.
     /// `None` when `leader_id` does not lead a flight (solo request).
-    pub(crate) fn fail_leader(&self, leader_id: &str) -> Option<Vec<Rider>> {
-        let key = {
-            let st = lock(&self.state);
-            let key = st.by_rider.get(leader_id)?.clone();
-            if st.flights.get(&key)?.leader_id != leader_id {
-                return None;
-            }
-            key
-        };
+    pub(crate) fn fail_leader(&mut self, leader_id: &str) -> Option<Vec<Rider>> {
+        let key = self.by_rider.get(leader_id)?.clone();
+        if self.flights.get(&key)?.leader_id != leader_id {
+            return None;
+        }
         Some(self.finish(&key))
     }
 
@@ -230,10 +208,9 @@ impl Coalescer {
     /// was the last rider standing. Returns the detached rider plus the
     /// flight's dataset context, or `None` when `target` is not attached
     /// to any flight.
-    pub(crate) fn on_cancel(&self, target: &str) -> Option<(Rider, FlightCtx)> {
-        let mut st = lock(&self.state);
-        let key = st.by_rider.remove(target)?;
-        let entry = st.flights.get_mut(&key)?;
+    pub(crate) fn on_cancel(&mut self, target: &str) -> Option<(Rider, FlightCtx)> {
+        let key = self.by_rider.remove(target)?;
+        let entry = self.flights.get_mut(&key)?;
         let pos = entry.riders.iter().position(|r| r.id == target)?;
         let rider = entry.riders.remove(pos);
         let ctx = entry.ctx.clone();
@@ -243,7 +220,7 @@ impl Coalescer {
             // run instead of attaching to a doomed one. The leader's
             // `finish` then finds nothing and writes nothing.
             entry.group.cancel();
-            st.flights.remove(&key);
+            self.flights.remove(&key);
         }
         Some((rider, ctx))
     }
@@ -252,17 +229,9 @@ impl Coalescer {
     /// terminate. Riders stay attached — they get their structured
     /// `truncated (cancelled)` responses from the leader's `finish`.
     pub(crate) fn cancel_all(&self) {
-        for entry in lock(&self.state).flights.values() {
+        for entry in self.flights.values() {
             entry.group.cancel();
         }
-    }
-
-    /// (flights created, riders attached) counters.
-    pub(crate) fn counters(&self) -> (u64, u64) {
-        (
-            self.leads.load(Ordering::Relaxed),
-            self.riders_attached.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -278,9 +247,15 @@ pub(crate) struct SweepFlight {
     pub out: SharedWriter,
     /// Thresholds in request order; segment `i` runs `supports[i]`.
     pub supports: Vec<usize>,
-    results: Mutex<Vec<Option<Outcome<Vec<Pattern>>>>>,
-    panic_msg: Mutex<Option<String>>,
-    remaining: Mutex<usize>,
+    progress: Mutex<SweepProgress>,
+}
+
+/// What the segments have reported so far.
+struct SweepProgress {
+    results: Vec<Option<Outcome<Vec<Pattern>>>>,
+    /// First panic message, if any segment panicked.
+    panic_msg: Option<String>,
+    remaining: usize,
 }
 
 impl SweepFlight {
@@ -290,53 +265,59 @@ impl SweepFlight {
             id,
             out,
             supports,
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            panic_msg: Mutex::new(None),
-            remaining: Mutex::new(n),
+            progress: Mutex::new(SweepProgress {
+                results: (0..n).map(|_| None).collect(),
+                panic_msg: None,
+                remaining: n,
+            }),
         }
     }
 
-    /// Record segment `idx`'s outcome. Returns `true` when this was the
-    /// last outstanding segment — the caller then assembles the response.
-    pub(crate) fn record(&self, idx: usize, outcome: Outcome<Vec<Pattern>>) -> bool {
-        lock(&self.results)[idx] = Some(outcome);
-        let mut remaining = lock(&self.remaining);
-        *remaining -= 1;
-        *remaining == 0
+    fn progress(&self) -> MutexGuard<'_, SweepProgress> {
+        // Every update below leaves the progress consistent, so a guard
+        // poisoned by an unrelated panic is safe to recover.
+        self.progress.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Record a panicked segment. Same last-finisher contract as `record`;
-    /// the first panic message wins (deterministic enough for an error
-    /// response — any panic fails the whole sweep).
-    pub(crate) fn record_panic(&self, msg: String) -> bool {
-        lock(&self.panic_msg).get_or_insert(msg);
-        let mut remaining = lock(&self.remaining);
-        *remaining -= 1;
-        *remaining == 0
-    }
-
-    /// First panic message, if any segment panicked.
-    pub(crate) fn panicked(&self) -> Option<String> {
-        lock(&self.panic_msg).clone()
+    /// Record segment `idx`'s outcome (`Err` carries a panic message).
+    /// Returns `true` when this was the last outstanding segment — the
+    /// caller then assembles the response. The first panic message wins
+    /// (deterministic enough for an error response — any panic fails the
+    /// whole sweep).
+    pub(crate) fn record(
+        &self,
+        idx: usize,
+        outcome: Result<Outcome<Vec<Pattern>>, String>,
+    ) -> bool {
+        let mut p = self.progress();
+        match outcome {
+            Ok(outcome) => p.results[idx] = Some(outcome),
+            Err(msg) => {
+                p.panic_msg.get_or_insert(msg);
+            }
+        }
+        p.remaining -= 1;
+        p.remaining == 0
     }
 
     /// Assemble `(completion, total patterns, payload)` in `supports`
-    /// order, using `render` to produce each segment's payload bytes.
-    /// Call only after the last `record` (checked by the `remaining`
-    /// counter); panicked segments must be handled by the caller instead.
+    /// order, using `render` to produce each segment's payload bytes, or
+    /// the first panic message if any segment panicked. Call only after
+    /// the last `record`.
     pub(crate) fn assemble(
         &self,
         mut render: impl FnMut(&[Pattern]) -> String,
-    ) -> (Completion, usize, String) {
+    ) -> Result<(Completion, usize, String), String> {
         use std::fmt::Write as _;
-        let results = lock(&self.results);
+        let p = self.progress();
+        if let Some(msg) = &p.panic_msg {
+            return Err(msg.clone());
+        }
         let mut payload = String::new();
         let mut completion = Completion::Complete;
         let mut total = 0usize;
-        for (i, &support) in self.supports.iter().enumerate() {
-            let Some(outcome) = results[i].as_ref() else {
-                continue; // panicked segment; caller reports the error
-            };
+        for (outcome, &support) in p.results.iter().zip(&self.supports) {
+            let outcome = outcome.as_ref().expect("every segment recorded");
             completion = completion.merge(outcome.completion);
             total += outcome.result.len();
             // Marker line, then the exact bytes an individual `freq` call
@@ -349,7 +330,7 @@ impl SweepFlight {
             );
             payload.push_str(&render(&outcome.result));
         }
-        (completion, total, payload)
+        Ok((completion, total, payload))
     }
 }
 

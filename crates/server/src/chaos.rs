@@ -1,4 +1,4 @@
-//! Chaos soak harness (`graphsig serve --chaos`, `bench_chaos`).
+//! Chaos soak harness (`bench_chaos`).
 //!
 //! Runs seeded randomized schedules that interleave every failure path
 //! the serving stack defends against, and asserts the invariants that
@@ -14,14 +14,16 @@
 //!   of I/O events; the store must reopen cleanly afterwards at either
 //!   the pre-append or the post-append `store_version` (the commit is
 //!   atomic: no third state).
-//! * **Server chaos** — an in-process [`Server`] with a faulted I/O seam
-//!   and a memory ceiling serves a seeded interleaving of loads, mines,
-//!   freqs, sweeps, cancels, and stats. Every accepted request must
-//!   resolve to exactly one structured response, mine payloads must be
-//!   byte-identical to the unfaulted one-shot pipeline oracle, and a
-//!   load past `max_resident_bytes` must be rejected with
-//!   `code=resource_exhausted` (after LRU eviction) while the server
-//!   keeps serving.
+//! * **Server chaos** — an in-process [`Server`] with a seeded worker
+//!   count (1, 2 or 4), a faulted I/O seam and a memory ceiling serves a
+//!   seeded interleaving of pipelined reloads, mines, freqs, sweeps,
+//!   cancels, and stats. Every accepted request must resolve to exactly
+//!   one structured response, every response over the reloaded dataset
+//!   must report exactly the version the ordering rule promises (DESIGN
+//!   §5c), mine payloads must be byte-identical to the unfaulted one-shot
+//!   pipeline oracle, and a load past `max_resident_bytes` must be
+//!   rejected with `code=resource_exhausted` (after LRU eviction) while
+//!   the server keeps serving.
 //! * **Connection lifecycle** — a TCP phase with dead clients (never
 //!   send), idle clients (send once, go silent), and slow clients (stop
 //!   reading mid-stream). Deadlined connections are reaped while active
@@ -33,20 +35,22 @@
 //!
 //! A schedule is a splitmix64 stream seeded with `base_seed + index`.
 //! Draws are consumed in a fixed order (fault plan knobs, kill point,
-//! then one draw per interleaved op), so a schedule is fully determined
-//! by its seed — rerunning a seed replays the identical fault pattern.
+//! worker count, then one draw per interleaved op), so a schedule is fully
+//! determined by its seed — rerunning a seed replays the identical fault
+//! pattern and op mix (thread interleavings are left to the OS).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphsig_core::{render_subgraphs, GraphSig, GraphSigConfig};
 use graphsig_store::{FaultPlan, Io};
 
-use crate::protocol::{parse_response_stream, ResponseHeader, Status};
-use crate::server::{Server, ServerConfig, SharedWriter};
+use crate::harness::{check, Harness, WAIT};
+use crate::protocol::Status;
+use crate::server::{Server, ServerConfig};
 use crate::transport::TransportConfig;
 
 /// Knobs for one chaos run.
@@ -76,6 +80,8 @@ impl Default for ChaosConfig {
 pub struct ScheduleReport {
     /// The schedule's seed.
     pub seed: u64,
+    /// Server worker threads the seed drew.
+    pub workers: usize,
     /// Requests submitted to the in-process server.
     pub requests: usize,
     /// Faults injected across every I/O seam the schedule touched.
@@ -119,95 +125,6 @@ fn mix(state: &mut u64) -> u64 {
 fn injected(io: &Io) -> u64 {
     let s = io.stats();
     s.injected_transient + s.injected_permanent + s.injected_short_reads + s.injected_stalls
-}
-
-fn check(cond: bool, what: &str) -> Result<(), String> {
-    if cond {
-        Ok(())
-    } else {
-        Err(format!("chaos check failed: {what}"))
-    }
-}
-
-const WAIT: Duration = Duration::from_secs(120);
-
-/// In-memory response sink shared with the server's workers.
-#[derive(Clone, Default)]
-struct Sink(Arc<Mutex<Vec<u8>>>);
-
-impl Write for Sink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-struct Harness {
-    server: Server,
-    sink: Sink,
-    out: SharedWriter,
-    submitted: Vec<String>,
-}
-
-impl Harness {
-    fn new(cfg: ServerConfig) -> Self {
-        let sink = Sink::default();
-        let out: SharedWriter = Arc::new(Mutex::new(Box::new(sink.clone())));
-        Harness {
-            server: Server::new(cfg),
-            sink,
-            out,
-            submitted: Vec::new(),
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        if let Ok(Some(req)) = crate::protocol::parse_request(line) {
-            self.submitted.push(req.id().to_string());
-        }
-        self.server.dispatch_line(line, &self.out);
-    }
-
-    fn responses(&self) -> Result<Vec<(ResponseHeader, Vec<u8>)>, String> {
-        let buf = self
-            .sink
-            .0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        parse_response_stream(&buf).map_err(|e| format!("bad response stream: {e}"))
-    }
-
-    fn wait_response(&self, id: &str) -> Result<(ResponseHeader, String), String> {
-        let deadline = Instant::now() + WAIT;
-        loop {
-            for (h, body) in self.responses()? {
-                if h.id == id {
-                    let body = String::from_utf8(body)
-                        .map_err(|_| format!("non-UTF-8 payload for {id}"))?;
-                    return Ok((h, body));
-                }
-            }
-            if Instant::now() >= deadline {
-                let seen: Vec<String> = self
-                    .responses()?
-                    .iter()
-                    .map(|(h, _)| h.id.clone())
-                    .collect();
-                let msg = format!(
-                    "no response for request '{id}' within {WAIT:?}; responded so far: {seen:?}"
-                );
-                return Err(msg);
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
 }
 
 /// Flat-copy a packed store directory (manifest + shard files).
@@ -341,13 +258,14 @@ fn run_schedule(seed: u64, ops: usize) -> Result<ScheduleReport, String> {
     )?;
 
     // -- Server chaos over the (possibly appended) packed store ----------
+    sched.workers = [1, 2, 4][(mix(&mut rng) % 3) as usize];
     let server_io = Io::with_plan(
         FaultPlan::new(mix(&mut rng))
             .transient(250)
             .transient_burst(2),
     );
     let mut h = Harness::new(ServerConfig {
-        workers: 2,
+        workers: sched.workers,
         queue_capacity: 8,
         drain_ms: 10_000,
         allow_inject: true,
@@ -369,9 +287,12 @@ fn run_schedule(seed: u64, ops: usize) -> Result<ScheduleReport, String> {
         "packed load reports its retry count",
     )?;
     let gen_seed = seed % 1000;
-    h.send(&format!(
-        "load id=lg dataset=gen gen=aids count=120 seed={gen_seed}"
-    ));
+    // A reload draws the same seed, so every version holds the same bytes
+    // and the oracle below stays valid across reloads.
+    let load_gen = format!("dataset=gen gen=aids count=120 seed={gen_seed}");
+    // Ids of every request naming `gen`, in submission order.
+    let mut gen_ids = vec!["lg".to_string()];
+    h.send(&format!("load id=lg {load_gen}"));
     let (resp, _) = h.wait_response("lg")?;
     check(resp.status == Status::Ok, "generator load succeeds")?;
 
@@ -386,6 +307,7 @@ fn run_schedule(seed: u64, ops: usize) -> Result<ScheduleReport, String> {
     })
     .mine_outcome(&oracle_db);
     let expected = render_subgraphs(&oracle_db, &oracle.result, usize::MAX);
+    gen_ids.push("oracle".into());
     h.send(&format!("mine id=oracle {mine}"));
     let (resp, body) = h.wait_response("oracle")?;
     check(resp.status == Status::Ok, "oracle mine succeeds")?;
@@ -398,33 +320,43 @@ fn run_schedule(seed: u64, ops: usize) -> Result<ScheduleReport, String> {
     // Seeded interleaving of ops; every one must resolve structured.
     for op in 0..ops {
         let id = format!("op{op}");
-        match mix(&mut rng) % 8 {
-            0 => h.send(&format!("mine id={id} {mine}")),
-            1 => h.send(&format!(
-                "mine id={id} dataset=packed min_freq=0.1 radius=2"
-            )),
-            2 => h.send(&format!(
-                "freq id={id} dataset=gen min_support=40 max_edges=3"
-            )),
-            3 => h.send(&format!(
-                "sweep id={id} dataset=gen supports=60,40 max_edges=3"
-            )),
-            4 => h.send(&format!("stats id={id}")),
-            5 => h.send(&format!("mine id={id} dataset=nosuch")),
+        let line = match mix(&mut rng) % 9 {
+            0 => format!("mine id={id} {mine}"),
+            1 => format!("mine id={id} dataset=packed min_freq=0.1 radius=2"),
+            2 => format!("freq id={id} dataset=gen min_support=40 max_edges=3"),
+            3 => format!("sweep id={id} dataset=gen supports=60,40 max_edges=3"),
+            4 => format!("stats id={id}"),
+            5 => format!("mine id={id} dataset=nosuch"),
             6 => {
                 h.send(&format!("mine id={id} sleep_ms=40 {mine}"));
-                h.send(&format!("cancel id={id}c target={id}"));
+                gen_ids.push(id.clone());
+                format!("cancel id={id}c target={id}")
             }
-            _ => h.send(&format!("ping id={id}")),
+            7 => format!("load id={id} {load_gen}"),
+            _ => format!("ping id={id}"),
+        };
+        if line.contains("dataset=gen") {
+            gen_ids.push(id);
         }
+        h.send(&line);
     }
 
     // Drain the op burst before the memory spike: with more ops than
     // queue slots some may resolve `busy` (legitimate shedding), and the
     // spike must reach the governor, not the full queue.
-    for id in h.submitted.clone() {
+    for id in h.submitted().to_vec() {
         h.wait_response(&id)?;
     }
+    check_gen_versions(&h, &gen_ids)?;
+
+    // A reload drops the prepared cache; mine once so the spike below
+    // has a cold entry to evict.
+    h.send(&format!("mine id=rewarm {mine}"));
+    let (resp, body) = h.wait_response("rewarm")?;
+    check(
+        resp.status == Status::Ok && body == expected,
+        "mine after the reload burst is byte-identical to the oracle",
+    )?;
 
     // Memory-pressure spike: a load past the ceiling is rejected with a
     // structured resource_exhausted after evicting cold cache entries —
@@ -469,7 +401,7 @@ fn run_schedule(seed: u64, ops: usize) -> Result<ScheduleReport, String> {
     // Every accepted request resolves — wait for each id before shutdown
     // so a silently dropped request names itself instead of wedging the
     // drain.
-    for id in h.submitted.clone() {
+    for id in h.submitted().to_vec() {
         h.wait_response(&id)?;
     }
     h.send("shutdown id=bye drain_ms=5000");
@@ -478,14 +410,9 @@ fn run_schedule(seed: u64, ops: usize) -> Result<ScheduleReport, String> {
 
     // Exactly one response per submitted request, across every path the
     // schedule exercised (coalesced, cancelled, rejected, errored).
-    let responses = h.responses()?;
-    for id in &h.submitted {
-        let n = responses.iter().filter(|(r, _)| &r.id == id).count();
-        check(n == 1, &format!("request '{id}' got {n} responses, want 1"))?;
-    }
-    sched.requests = h.submitted.len();
-    let Harness { server, .. } = h;
-    server.join();
+    h.check_one_response_each()?;
+    sched.requests = h.submitted().len();
+    h.server.join();
 
     // -- Permanent fault: bounded attempts, structured outcome -----------
     // Last because a quarantining open mutates the directory.
@@ -509,6 +436,32 @@ fn run_schedule(seed: u64, ops: usize) -> Result<ScheduleReport, String> {
     sched.retries = io.retries() + server_io.retries();
     let _ = std::fs::remove_dir_all(&dir);
     Ok(sched)
+}
+
+/// The ordering rule, checked exactly: walking the requests that name
+/// `gen` in submission order, every ok response reports as its version
+/// the number of ok `gen` loads submitted up to and including it.
+/// Busy-rejected and failed loads commit nothing and are not counted.
+fn check_gen_versions(h: &Harness, gen_ids: &[String]) -> Result<(), String> {
+    let mut committed = 0u64;
+    for id in gen_ids {
+        let (resp, _) = h.wait_response(id)?;
+        if resp.status != Status::Ok {
+            continue;
+        }
+        if resp.op == "load" {
+            committed += 1;
+        }
+        check(
+            resp.field("version") == Some(committed.to_string().as_str()),
+            &format!(
+                "'{id}' reports version {:?}, but {committed} gen loads submitted up to it \
+                 committed",
+                resp.field("version")
+            ),
+        )?;
+    }
+    Ok(())
 }
 
 /// Split a received byte prefix into complete frames plus a truncated
@@ -709,9 +662,11 @@ pub fn render_json(report: &ChaosReport, seed: u64) -> String {
         };
         let _ = writeln!(
             out,
-            "    {{\"seed\": {}, \"requests\": {}, \"fault_events\": {}, \"retries\": {}, \
-             \"kill_recovered\": {}, \"spike_rejected\": {}, \"oracle_identical\": {}}}{comma}",
+            "    {{\"seed\": {}, \"workers\": {}, \"requests\": {}, \"fault_events\": {}, \
+             \"retries\": {}, \"kill_recovered\": {}, \"spike_rejected\": {}, \
+             \"oracle_identical\": {}}}{comma}",
             s.seed,
+            s.workers,
             s.requests,
             s.fault_events,
             s.retries,

@@ -16,7 +16,8 @@
 //!   [`CancelToken`](graphsig_core::CancelToken)s under server-enforced
 //!   ceilings, panic isolation per request, single-flight coalescing of
 //!   identical concurrent `mine` runs (see `batch`), sweep segmentation
-//!   for scheduling fairness, a shared
+//!   for scheduling fairness, one ordering rule for requests that name a
+//!   dataset (each sees exactly the `load`s submitted before it), a shared
 //!   [`PreparedCache`](graphsig_core::PreparedCache) +
 //!   [`LabelPairIndex`](graphsig_graph::LabelPairIndex) per dataset with
 //!   versioned invalidation on `load`, and graceful drain on shutdown.
@@ -25,20 +26,17 @@
 //!   file descriptor and a buffer, not a thread, and slow consumers are
 //!   bounded by per-connection write buffers instead of blocking workers.
 //!
-//! [`smoke::run`] is the fault-injection self-test CI gates on: mixed
-//! budgets under concurrency, an injected panic, a mid-flight
-//! cancellation, queue-full rejection, and a drained shutdown — every
-//! request must resolve to a structured response with the server alive
-//! until the drain completes. [`chaos::run`] goes further: seeded
-//! randomized schedules driving the store fault plane, mid-ingest kills,
-//! the memory admission governor, and connection lifecycle deadlines —
-//! the soak CI gates on via `bench_chaos --smoke`.
+//! [`chaos::run`] is the soak CI gates on via `bench_chaos --smoke`:
+//! seeded randomized schedules driving the store fault plane, mid-ingest
+//! kills, the memory admission governor, pipelined reloads under a seeded
+//! worker count, and connection lifecycle deadlines. [`harness`] is the
+//! in-process driver it shares with the integration tests.
 
 pub(crate) mod batch;
 pub mod chaos;
+pub mod harness;
 pub mod protocol;
 pub mod server;
-pub mod smoke;
 pub mod transport;
 
 pub use protocol::{

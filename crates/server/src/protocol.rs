@@ -325,6 +325,19 @@ impl Request {
         }
     }
 
+    /// The resident dataset the request names, if any — the key the
+    /// server's ordering rule (DESIGN §5c) serializes loads on.
+    pub(crate) fn dataset(&self) -> Option<&str> {
+        match self {
+            Request::Load(r) => Some(&r.dataset),
+            Request::Mine(r) => Some(&r.dataset),
+            Request::Freq(r) => Some(&r.dataset),
+            Request::Sweep(r) => Some(&r.dataset),
+            Request::Stats { dataset, .. } => dataset.as_deref(),
+            _ => None,
+        }
+    }
+
     /// The operation name (echoed in the response header).
     pub fn op(&self) -> &'static str {
         match self {

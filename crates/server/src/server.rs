@@ -53,6 +53,13 @@
 //!   deadline — individual tokens *and* coalesced group tokens (those
 //!   requests respond `truncated (cancelled)` — still a structured
 //!   response, never a silent drop) — and only then confirms.
+//! * **One ordering rule.** A request naming dataset D observes every
+//!   `load` of D submitted before it, and none submitted after it. The
+//!   rule is enforced at dequeue (`State::take`): a worker takes the first
+//!   queued job whose dataset has no `load` executing, and resolves that
+//!   job's `Arc<Dataset>` in the same critical section. A held job waits
+//!   in the queue like any other — it counts against `queue_capacity`, its
+//!   deadline runs from submission, and `cancel` finds it.
 //! * **Shared state with versioned invalidation.** Each resident dataset
 //!   owns a [`PreparedCache`] (window passes) and a lazily built
 //!   [`LabelPairIndex`] shared by `freq` requests. `load` replaces the
@@ -65,7 +72,7 @@
 //!   counters, so a load test can attribute latency to queueing vs work
 //!   and prove coalescing happened.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -282,18 +289,69 @@ struct SegmentJob {
 /// What a worker can pick up. Whole requests outrank sweep segments so a
 /// fanned-out sweep never starves fresh work (scheduling fairness).
 enum Work {
-    Request(Job),
+    /// A request plus the resident version of the dataset it names, read
+    /// when it was dequeued (`None`: it names none, or an unknown one).
+    /// For a `load` this is the version an `append=true` extends.
+    Request(Job, Option<Arc<Dataset>>),
     Segment(SegmentJob),
 }
 
+/// Everything the workers, the connection readers and `cancel` share,
+/// behind [`ServerInner::state`] — the server's one lock.
+///
+/// The one lock rule: nothing writes a response, runs a handler, or
+/// touches the store while holding it. Critical sections only move queue
+/// entries, tokens, flights and `Arc`s, and take no other lock, so
+/// lock-order deadlocks cannot occur.
 #[derive(Default)]
-struct QueueState {
+struct State {
     jobs: VecDeque<Job>,
-    /// Sweep segments, drained only when `jobs` is empty. Bounded by the
-    /// threshold counts of accepted sweeps, not by `queue_capacity` — the
-    /// capacity check already admitted the sweep as one request.
+    /// Sweep segments, drained only when no job is eligible. Bounded by
+    /// the threshold counts of accepted sweeps, not by `queue_capacity` —
+    /// the capacity check already admitted the sweep as one request.
     segments: VecDeque<SegmentJob>,
     active: usize,
+    datasets: HashMap<String, Arc<Dataset>>,
+    /// Datasets with a `load` executing; jobs naming one stay queued.
+    loading: HashSet<String>,
+    /// Cancel tokens of every queued or executing request, by id.
+    inflight: HashMap<String, CancelToken>,
+    /// Single-flight registry for coalesced mine runs.
+    coalescer: Coalescer,
+}
+
+impl State {
+    /// Hand out the next unit of work. The ordering rule lives here and
+    /// nowhere else: take the first queued job whose dataset has no
+    /// `load` executing, mark a `load`'s dataset as loading, and resolve
+    /// the job's dataset now. Jobs naming one dataset therefore start in
+    /// submission order, and a `load` runs alone against its dataset.
+    fn take(&mut self) -> Option<Work> {
+        let loading = &self.loading;
+        let pos = self
+            .jobs
+            .iter()
+            .position(|j| j.request.dataset().is_none_or(|d| !loading.contains(d)));
+        let work = match pos.and_then(|pos| self.jobs.remove(pos)) {
+            Some(job) => {
+                if let Request::Load(r) = &job.request {
+                    self.loading.insert(r.dataset.clone());
+                }
+                let dataset = job
+                    .request
+                    .dataset()
+                    .and_then(|d| self.datasets.get(d).cloned());
+                Work::Request(job, dataset)
+            }
+            None => Work::Segment(self.segments.pop_front()?),
+        };
+        self.active += 1;
+        Some(work)
+    }
+
+    fn idle(&self) -> bool {
+        self.active == 0 && self.jobs.is_empty() && self.segments.is_empty()
+    }
 }
 
 #[derive(Default)]
@@ -351,17 +409,12 @@ pub struct ServerSnapshot {
 
 struct ServerInner {
     cfg: ServerConfig,
-    datasets: Mutex<HashMap<String, Arc<Dataset>>>,
-    queue: Mutex<QueueState>,
-    /// Wakes workers when work is queued (or termination is flagged).
+    state: Mutex<State>,
+    /// Wakes workers when work is queued, a `load` finishes, or
+    /// termination is flagged.
     work_cv: Condvar,
     /// Wakes the drain loop when the queue goes empty-and-idle.
     idle_cv: Condvar,
-    /// Cancel tokens of every queued or executing request, by id.
-    /// Lock order: `queue` before `inflight` when both are held.
-    inflight: Mutex<HashMap<String, CancelToken>>,
-    /// Single-flight registry for coalesced mine runs.
-    coalescer: Coalescer,
     /// Intake closed (shutdown requested).
     shutting_down: AtomicBool,
     /// Workers may exit once the queue is empty.
@@ -391,12 +444,9 @@ impl Server {
         let worker_count = graphsig_core::resolve_threads(cfg.workers);
         let inner = Arc::new(ServerInner {
             cfg,
-            datasets: Mutex::new(HashMap::new()),
-            queue: Mutex::new(QueueState::default()),
+            state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            inflight: Mutex::new(HashMap::new()),
-            coalescer: Coalescer::default(),
             shutting_down: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
             counters: Counters::default(),
@@ -494,19 +544,18 @@ impl Drop for Server {
 
 impl ServerInner {
     fn snapshot(&self) -> ServerSnapshot {
-        let q = lock(&self.queue);
-        let (leads, riders) = self.coalescer.counters();
+        let st = lock(&self.state);
         ServerSnapshot {
             received: self.counters.received.load(Ordering::Relaxed),
             served: self.counters.served.load(Ordering::Relaxed),
             busy_rejected: self.counters.busy_rejected.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
             panics: self.counters.panics.load(Ordering::Relaxed),
-            queued: q.jobs.len(),
-            active: q.active,
-            segments: q.segments.len(),
-            coalesce_leads: leads,
-            coalesce_riders: riders,
+            queued: st.jobs.len(),
+            active: st.active,
+            segments: st.segments.len(),
+            coalesce_leads: st.coalescer.leads,
+            coalesce_riders: st.coalescer.riders,
             queue_wait_us: self.counters.queue_wait_us.load(Ordering::Relaxed),
             exec_us: self.counters.exec_us.load(Ordering::Relaxed),
         }
@@ -545,7 +594,8 @@ impl ServerInner {
         queue_wait_us: u64,
         exec_us: u64,
     ) {
-        if lock(&self.inflight).remove(id).is_none() {
+        let claimed = lock(&self.state).inflight.remove(id).is_some();
+        if !claimed {
             return;
         }
         self.counters.served.fetch_add(1, Ordering::Relaxed);
@@ -666,27 +716,28 @@ impl ServerInner {
                 self.counters
                     .cancel_requests
                     .fetch_add(1, Ordering::Relaxed);
-                let found = match lock(&self.inflight).get(target) {
-                    Some(token) => {
-                        token.cancel();
-                        true
-                    }
-                    None => false,
-                };
-                if found {
+                let (found, detached) = {
+                    let mut st = lock(&self.state);
+                    let found = st.inflight.get(target).map(CancelToken::cancel).is_some();
                     // If the target rides a coalesced flight, detach it so
                     // it responds `truncated (cancelled)` right now; the
                     // shared run keeps going for the remaining riders (and
                     // is cancelled outright when none remain).
-                    if let Some((rider, ctx)) = self.coalescer.on_cancel(target) {
-                        let resp = cancelled_mine_response(
-                            &rider.id,
-                            &ctx.dataset,
-                            ctx.version,
-                            ctx.degraded.as_deref(),
-                        );
-                        self.finish_as(&rider.id, &rider.out, &resp, "rider", 0, 0);
-                    }
+                    let detached = if found {
+                        st.coalescer.on_cancel(target)
+                    } else {
+                        None
+                    };
+                    (found, detached)
+                };
+                if let Some((rider, ctx)) = detached {
+                    let resp = cancelled_mine_response(
+                        &rider.id,
+                        &ctx.dataset,
+                        ctx.version,
+                        ctx.degraded.as_deref(),
+                    );
+                    self.finish_as(&rider.id, &rider.out, &resp, "rider", 0, 0);
                 }
                 self.write_response(
                     out,
@@ -725,12 +776,12 @@ impl ServerInner {
             self.write_response(out, &Response::error(&id, op, "server is shutting down"));
             return;
         }
-        let mut q = lock(&self.queue);
-        if q.jobs.len() >= self.cfg.queue_capacity {
+        let mut st = lock(&self.state);
+        if st.jobs.len() >= self.cfg.queue_capacity {
             // Rejected before the id is ever registered: a racing `cancel`
             // for a busy-rejected request always reports found=false.
-            let depth = q.jobs.len();
-            drop(q);
+            let depth = st.jobs.len();
+            drop(st);
             self.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
             self.write_response(
                 out,
@@ -740,31 +791,26 @@ impl ServerInner {
             );
             return;
         }
-        let token = CancelToken::new();
-        {
-            // Nested under `queue` (the one place both are held — same
-            // order as `shutdown`) so the admitted id is registered before
-            // any worker could possibly complete it.
-            let mut inflight = lock(&self.inflight);
-            if inflight.contains_key(&id) {
-                drop(inflight);
-                drop(q);
-                self.write_response(
-                    out,
-                    &Response::error(&id, op, format!("request id '{id}' already in flight")),
-                );
-                return;
-            }
-            inflight.insert(id.clone(), token.clone());
+        if st.inflight.contains_key(&id) {
+            drop(st);
+            self.write_response(
+                out,
+                &Response::error(&id, op, format!("request id '{id}' already in flight")),
+            );
+            return;
         }
+        // Registered in the same critical section that queues the job, so
+        // the admitted id exists before any worker could complete it.
+        let token = CancelToken::new();
+        st.inflight.insert(id.clone(), token.clone());
         self.count_op(op);
-        q.jobs.push_back(Job {
+        st.jobs.push_back(Job {
             request,
             out: Arc::clone(out),
             token,
             submitted: Instant::now(),
         });
-        drop(q);
+        drop(st);
         self.work_cv.notify_one();
     }
 
@@ -783,32 +829,27 @@ impl ServerInner {
     fn worker_loop(&self) {
         loop {
             let work = {
-                let mut q = lock(&self.queue);
+                let mut st = lock(&self.state);
                 loop {
                     // Whole requests first: sweep segments are the one kind
                     // of work that arrives in bulk, so they yield to fresh
                     // requests (fairness under fan-out).
-                    if let Some(job) = q.jobs.pop_front() {
-                        q.active += 1;
-                        break Work::Request(job);
-                    }
-                    if let Some(seg) = q.segments.pop_front() {
-                        q.active += 1;
-                        break Work::Segment(seg);
+                    if let Some(work) = st.take() {
+                        break work;
                     }
                     if self.terminated.load(Ordering::Relaxed) {
                         return;
                     }
-                    q = self.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
+                    st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
             };
             match work {
-                Work::Request(job) => self.process(job),
+                Work::Request(job, dataset) => self.process(job, dataset),
                 Work::Segment(seg) => self.process_segment(seg),
             }
-            let mut q = lock(&self.queue);
-            q.active -= 1;
-            if q.active == 0 && q.jobs.is_empty() && q.segments.is_empty() {
+            let mut st = lock(&self.state);
+            st.active -= 1;
+            if st.idle() {
                 self.idle_cv.notify_all();
             }
         }
@@ -817,7 +858,7 @@ impl ServerInner {
     /// Execute one job with panic isolation and always respond — directly,
     /// or through whichever deferred path (`finish` by a coalescing leader
     /// or a last sweep segment) the handler armed.
-    fn process(&self, job: Job) {
+    fn process(&self, job: Job, dataset: Option<Arc<Dataset>>) {
         let Job {
             request,
             out,
@@ -833,7 +874,7 @@ impl ServerInner {
         // try_par_map with a single item runs inline under catch_unwind:
         // a panicking handler yields a structured error, not a dead worker.
         let result = graphsig_core::try_par_map(1, std::slice::from_ref(&request), |req| {
-            self.execute(req, &token, submitted, &out)
+            self.execute(req, dataset.clone(), &token, submitted, &out)
         });
         let exec_us = exec_started.elapsed().as_micros() as u64;
         self.counters.exec_us.fetch_add(exec_us, Ordering::Relaxed);
@@ -851,7 +892,8 @@ impl ServerInner {
                 let msg = format!("request handler panicked: {}", panicked.message);
                 // A panicking leader takes its whole flight down: every
                 // rider gets the error, none is left waiting forever.
-                match self.coalescer.fail_leader(&id) {
+                let riders = lock(&self.state).coalescer.fail_leader(&id);
+                match riders {
                     Some(riders) => {
                         for rider in riders {
                             let resp = Response::error(&rider.id, op, msg.clone());
@@ -862,6 +904,11 @@ impl ServerInner {
                     None => self.finish(&id, &out, &Response::error(&id, op, msg)),
                 }
             }
+        }
+        if let Request::Load(r) = &request {
+            // The load committed or failed: jobs held behind it may run.
+            lock(&self.state).loading.remove(&r.dataset);
+            self.work_cv.notify_all();
         }
     }
 
@@ -881,41 +928,34 @@ impl ServerInner {
         self.counters
             .exec_us
             .fetch_add(exec_started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        let last = match result {
-            Ok(mut v) => {
-                let outcome = v.pop().expect("one segment in, one outcome out");
-                seg.flight.record(seg.idx, outcome)
-            }
+        let outcome = match result {
+            Ok(mut v) => Ok(v.pop().expect("one segment in, one outcome out")),
             Err(panicked) => {
                 self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                seg.flight.record_panic(panicked.message)
+                Err(panicked.message)
             }
         };
-        if !last {
+        if !seg.flight.record(seg.idx, outcome) {
             return;
         }
         let flight = &seg.flight;
-        let resp = match flight.panicked() {
-            Some(msg) => Response::error(
+        let resp = match flight.assemble(|patterns| render_patterns(&seg.dataset.db, patterns)) {
+            Err(msg) => Response::error(
                 &flight.id,
                 "sweep",
                 format!("request handler panicked: {msg}"),
             ),
-            None => {
-                let (completion, total, payload) =
-                    flight.assemble(|patterns| render_patterns(&seg.dataset.db, patterns));
-                with_degraded(
-                    Response::new(&flight.id, "sweep", Status::Ok)
-                        .with_field("dataset", &seg.dataset.name)
-                        .with_field("version", seg.dataset.version),
-                    &seg.dataset,
-                )
-                .with_field("completion", completion)
-                .with_field("supports", flight.supports.len())
-                .with_field("patterns", total)
-                .with_field("index_types", seg.index.len())
-                .with_payload(payload)
-            }
+            Ok((completion, total, payload)) => with_degraded(
+                Response::new(&flight.id, "sweep", Status::Ok)
+                    .with_field("dataset", &seg.dataset.name)
+                    .with_field("version", seg.dataset.version),
+                &seg.dataset,
+            )
+            .with_field("completion", completion)
+            .with_field("supports", flight.supports.len())
+            .with_field("patterns", total)
+            .with_field("index_types", seg.index.len())
+            .with_payload(payload),
         };
         self.finish_as(&flight.id, &flight.out, &resp, "sweep", 0, 0);
     }
@@ -926,20 +966,20 @@ impl ServerInner {
         self.shutting_down.store(true, Ordering::Relaxed);
         let deadline = Instant::now() + Duration::from_millis(drain_ms);
         let mut forced = false;
-        let mut q = lock(&self.queue);
-        while q.active > 0 || !q.jobs.is_empty() || !q.segments.is_empty() {
+        let mut st = lock(&self.state);
+        while !st.idle() {
             if !forced && Instant::now() >= deadline {
                 // Drain deadline passed: cancel everything still in
                 // flight. Each cancelled request still gets a structured
                 // `truncated (cancelled)` response — then we keep waiting
                 // (cooperative cancellation is fast but not instant).
-                for token in lock(&self.inflight).values() {
+                for token in st.inflight.values() {
                     token.cancel();
                 }
                 // Coalesced runs listen to their *group* token, which only
                 // falls when every rider cancels through `cancel`; a
                 // forced drain fells them all directly.
-                self.coalescer.cancel_all();
+                st.coalescer.cancel_all();
                 forced = true;
             }
             let wait = if forced {
@@ -952,11 +992,11 @@ impl ServerInner {
             };
             let (guard, _) = self
                 .idle_cv
-                .wait_timeout(q, wait)
+                .wait_timeout(st, wait)
                 .unwrap_or_else(|e| e.into_inner());
-            q = guard;
+            st = guard;
         }
-        drop(q);
+        drop(st);
         self.terminated.store(true, Ordering::Relaxed);
         self.work_cv.notify_all();
         forced
@@ -986,30 +1026,15 @@ impl ServerInner {
         budget
     }
 
-    fn dataset(&self, name: &str) -> Result<Arc<Dataset>, String> {
-        lock(&self.datasets)
-            .get(name)
+    /// Every resident dataset except `except`, cloned out of the lock so
+    /// callers can walk their caches unlocked.
+    fn resident_except(&self, except: Option<&str>) -> Vec<Arc<Dataset>> {
+        lock(&self.state)
+            .datasets
+            .values()
+            .filter(|d| Some(d.name.as_str()) != except)
             .cloned()
-            .ok_or_else(|| format!("unknown dataset '{name}' (load it first)"))
-    }
-
-    /// Approximate resident bytes across every dataset except `except`
-    /// (the name a `load` is about to replace — its memory is freed by the
-    /// replacement, so it does not count against the new version).
-    fn resident_bytes_excluding(&self, except: &str) -> u64 {
-        lock(&self.datasets)
-            .values()
-            .filter(|d| d.name != except)
-            .map(|d| d.resident_bytes())
-            .sum()
-    }
-
-    /// Total approximate resident bytes (stats reporting).
-    fn resident_bytes_total(&self) -> u64 {
-        lock(&self.datasets)
-            .values()
-            .map(|d| d.resident_bytes())
-            .sum()
+            .collect()
     }
 
     /// Evict one cold prepared-cache entry under memory pressure: the
@@ -1017,20 +1042,13 @@ impl ServerInner {
     /// the most bytes (deterministic name tiebreak). Returns the bytes
     /// freed, or `None` when no dataset has an evictable entry left.
     fn evict_coldest_prepared(&self, except: &str) -> Option<u64> {
-        let candidates: Vec<Arc<Dataset>> = {
-            let mut v: Vec<Arc<Dataset>> = lock(&self.datasets)
-                .values()
-                .filter(|d| d.name != except)
-                .cloned()
-                .collect();
-            v.sort_by(|a, b| {
-                b.prepared
-                    .approx_bytes()
-                    .cmp(&a.prepared.approx_bytes())
-                    .then_with(|| a.name.cmp(&b.name))
-            });
-            v
-        };
+        let mut candidates = self.resident_except(Some(except));
+        candidates.sort_by(|a, b| {
+            b.prepared
+                .approx_bytes()
+                .cmp(&a.prepared.approx_bytes())
+                .then_with(|| a.name.cmp(&b.name))
+        });
         for d in candidates {
             if let Some(freed) = d.prepared.evict_lru() {
                 self.counters.evictions.fetch_add(1, Ordering::Relaxed);
@@ -1047,16 +1065,23 @@ impl ServerInner {
     fn execute(
         &self,
         request: &Request,
+        dataset: Option<Arc<Dataset>>,
         token: &CancelToken,
         submitted: Instant,
         out: &SharedWriter,
     ) -> Option<Response> {
+        // Every handler runs against the version `State::take` resolved.
+        let resolved = |name: &str| dataset.clone().ok_or_else(|| unknown_dataset(name));
         match request {
-            Request::Load(r) => Some(self.exec_load(r)),
-            Request::Mine(r) => self.exec_mine(r, token, submitted, out),
-            Request::Freq(r) => Some(self.exec_freq(r, token, submitted)),
-            Request::Sweep(r) => self.exec_sweep(r, token, submitted, out),
-            Request::Stats { id, dataset } => Some(self.exec_stats(id, dataset.as_deref())),
+            Request::Load(r) => Some(self.exec_load(r, dataset.clone())),
+            Request::Mine(r) => self.exec_mine(r, resolved(&r.dataset), token, submitted, out),
+            Request::Freq(r) => Some(self.exec_freq(r, resolved(&r.dataset), token, submitted)),
+            Request::Sweep(r) => self.exec_sweep(r, resolved(&r.dataset), token, submitted, out),
+            Request::Stats { id, dataset: name } => Some(match name.as_deref().map(resolved) {
+                None => self.exec_stats(id),
+                Some(Ok(d)) => dataset_stats(id, &d),
+                Some(Err(e)) => Response::error(id, "stats", e),
+            }),
             // Control ops never reach the queue.
             other => Some(Response::error(
                 other.id(),
@@ -1066,17 +1091,17 @@ impl ServerInner {
         }
     }
 
-    fn exec_load(&self, r: &LoadRequest) -> Response {
+    fn exec_load(&self, r: &LoadRequest, current: Option<Arc<Dataset>>) -> Response {
         let started = Instant::now();
-        // Appends extend the prior version's graphs and keep its built
+        // Appends extend the current version's graphs and keep its built
         // segment indexes; a plain load starts from nothing.
-        let prior = if r.append {
-            match self.dataset(&r.dataset) {
-                Ok(d) => Some(d),
-                Err(e) => return Response::error(&r.id, "load", format!("append failed: {e}")),
+        let prior = match (r.append, current) {
+            (false, _) => None,
+            (true, Some(d)) => Some(d),
+            (true, None) => {
+                let e = unknown_dataset(&r.dataset);
+                return Response::error(&r.id, "load", format!("append failed: {e}"));
             }
-        } else {
-            None
         };
         let mut db = match &prior {
             Some(d) => (*d.db).clone(),
@@ -1201,7 +1226,13 @@ impl ServerInner {
         // rejected with a structured error — the server never OOM-aborts
         // and the previous dataset version (if any) keeps serving.
         if let Some(max) = self.cfg.max_resident_bytes {
-            let mut resident = self.resident_bytes_excluding(&r.dataset);
+            // The version this load replaces is freed by the replacement,
+            // so it does not count against the new one.
+            let mut resident: u64 = self
+                .resident_except(Some(&r.dataset))
+                .iter()
+                .map(|d| d.resident_bytes())
+                .sum();
             while resident + db_bytes > max {
                 match self.evict_coldest_prepared(&r.dataset) {
                     Some(freed) => resident = resident.saturating_sub(freed),
@@ -1224,12 +1255,12 @@ impl ServerInner {
             }
         }
         let version = {
-            let mut datasets = lock(&self.datasets);
-            let version = datasets.get(&r.dataset).map_or(1, |d| d.version + 1);
+            let mut st = lock(&self.state);
+            let version = st.datasets.get(&r.dataset).map_or(1, |d| d.version + 1);
             // Versioned invalidation: the new Arc replaces the old entry;
             // requests already holding the old version finish against it,
             // and its caches are freed with the last reference.
-            datasets.insert(
+            st.datasets.insert(
                 r.dataset.clone(),
                 Arc::new(Dataset {
                     name: r.dataset.clone(),
@@ -1272,6 +1303,7 @@ impl ServerInner {
     fn exec_mine(
         &self,
         r: &MineRequest,
+        dataset: Result<Arc<Dataset>, String>,
         token: &CancelToken,
         submitted: Instant,
         out: &SharedWriter,
@@ -1283,7 +1315,7 @@ impl ServerInner {
                 "fault-injection keys are disabled",
             ));
         }
-        let dataset = match self.dataset(&r.dataset) {
+        let dataset = match dataset {
             Ok(d) => d,
             Err(e) => return Some(Response::error(&r.id, "mine", e)),
         };
@@ -1346,7 +1378,8 @@ impl ServerInner {
             version: dataset.version,
             degraded: degraded.clone(),
         };
-        match self.coalescer.join(&key, rider, ctx) {
+        let joined = lock(&self.state).coalescer.join(&key, rider, ctx);
+        match joined {
             // An identical run is in flight; its leader answers for us.
             // This worker is free immediately — riders cost no execution.
             Joined::Attached => None,
@@ -1362,7 +1395,7 @@ impl ServerInner {
                 // Closing the flight is the linearization point: riders
                 // collected here get their response below; a cancel racing
                 // past it finds no flight and the rider responds normally.
-                let riders = self.coalescer.finish(&key);
+                let riders = lock(&self.state).coalescer.finish(&key);
                 let role_of = |rider: &Rider| if rider.id == r.id { "lead" } else { "rider" };
                 let times_of = |rider: &Rider| {
                     if rider.id == r.id {
@@ -1431,8 +1464,14 @@ impl ServerInner {
         MineRun::Done(outcome, disposition)
     }
 
-    fn exec_freq(&self, r: &FreqRequest, token: &CancelToken, submitted: Instant) -> Response {
-        let dataset = match self.dataset(&r.dataset) {
+    fn exec_freq(
+        &self,
+        r: &FreqRequest,
+        dataset: Result<Arc<Dataset>, String>,
+        token: &CancelToken,
+        submitted: Instant,
+    ) -> Response {
+        let dataset = match dataset {
             Ok(d) => d,
             Err(e) => return Response::error(&r.id, "freq", e),
         };
@@ -1468,11 +1507,12 @@ impl ServerInner {
     fn exec_sweep(
         &self,
         r: &SweepRequest,
+        dataset: Result<Arc<Dataset>, String>,
         token: &CancelToken,
         submitted: Instant,
         out: &SharedWriter,
     ) -> Option<Response> {
-        let dataset = match self.dataset(&r.dataset) {
+        let dataset = match dataset {
             Ok(d) => d,
             Err(e) => return Some(Response::error(&r.id, "sweep", e)),
         };
@@ -1511,9 +1551,9 @@ impl ServerInner {
             r.supports.clone(),
         ));
         {
-            let mut q = lock(&self.queue);
+            let mut st = lock(&self.state);
             for idx in 0..flight.supports.len() {
-                q.segments.push_back(SegmentJob {
+                st.segments.push_back(SegmentJob {
                     flight: Arc::clone(&flight),
                     dataset: Arc::clone(&dataset),
                     index: Arc::clone(&index),
@@ -1527,88 +1567,89 @@ impl ServerInner {
         None
     }
 
-    fn exec_stats(&self, id: &str, dataset: Option<&str>) -> Response {
-        match dataset {
-            None => {
-                let snap = self.snapshot();
-                // Taken before the response chain: a `lock(..)` temporary
-                // inside the chain would live to the end of the whole
-                // expression and deadlock `resident_bytes_total` below.
-                let dataset_count = lock(&self.datasets).len();
-                let resident = self.resident_bytes_total();
-                let mut resp = Response::new(id, "stats", Status::Ok)
-                    .with_field("datasets", dataset_count)
-                    .with_field("received", snap.received)
-                    .with_field("served", snap.served)
-                    .with_field("busy_rejected", snap.busy_rejected)
-                    .with_field("errors", snap.errors)
-                    .with_field("panics", snap.panics)
-                    .with_field("queued", snap.queued)
-                    .with_field("active", snap.active)
-                    .with_field("queue_capacity", self.cfg.queue_capacity)
-                    .with_field("workers", graphsig_core::resolve_threads(self.cfg.workers))
-                    .with_field("segments_queued", snap.segments)
-                    .with_field("coalesce_leads", snap.coalesce_leads)
-                    .with_field("coalesce_riders", snap.coalesce_riders)
-                    .with_field("queue_wait_us", snap.queue_wait_us)
-                    .with_field("exec_us", snap.exec_us)
-                    .with_field("op_load", self.counters.op_load.load(Ordering::Relaxed))
-                    .with_field("op_mine", self.counters.op_mine.load(Ordering::Relaxed))
-                    .with_field("op_freq", self.counters.op_freq.load(Ordering::Relaxed))
-                    .with_field("op_sweep", self.counters.op_sweep.load(Ordering::Relaxed))
-                    .with_field("op_stats", self.counters.op_stats.load(Ordering::Relaxed))
-                    .with_field("resident_bytes", resident)
-                    .with_field("evictions", self.counters.evictions.load(Ordering::Relaxed))
-                    .with_field("store_retries", self.cfg.io.retries());
-                if let Some(max) = self.cfg.max_resident_bytes {
-                    resp = resp.with_field("max_resident_bytes", max);
-                }
-                resp
-            }
-            Some(name) => match self.dataset(name) {
-                Err(e) => Response::error(id, "stats", e),
-                Ok(d) => {
-                    let s = d.db.stats();
-                    let cache = d.prepared.stats();
-                    let mut resp = Response::new(id, "stats", Status::Ok)
-                        .with_field("dataset", &d.name)
-                        .with_field("version", d.version)
-                        .with_field("graphs", s.graph_count)
-                        .with_field("nodes", s.total_nodes)
-                        .with_field("edges", s.total_edges)
-                        .with_field("segments", d.slots.len())
-                        .with_field(
-                            "segments_indexed",
-                            d.slots.iter().filter(|s| s.index.get().is_some()).count(),
-                        )
-                        .with_field("prepared_hits", cache.hits)
-                        .with_field("prepared_misses", cache.misses)
-                        .with_field("prepared_bypasses", cache.bypasses)
-                        .with_field("prepared_entries", cache.entries)
-                        .with_field("resident_bytes", d.resident_bytes());
-                    if let Some(info) = &d.store {
-                        resp = resp
-                            .with_field("shards", info.manifest_shards - info.quarantined)
-                            .with_field("quarantined", info.quarantined)
-                            .with_field("disk_bytes", info.disk_bytes)
-                            .with_field("store_version", info.store_version);
-                    }
-                    if let Some(flag) = d.degraded() {
-                        resp = resp.with_field("degraded", flag);
-                    }
-                    // The shared index is only reported once built — its
-                    // presence is itself the observability signal that
-                    // `freq` requests are reusing one build.
-                    if let Some(index) = d.index.get() {
-                        resp = resp
-                            .with_field("index_types", index.len())
-                            .with_field("index_occurrences", index.total_occurrences());
-                    }
-                    resp
-                }
-            },
+    /// Global `stats`: server counters plus residency.
+    fn exec_stats(&self, id: &str) -> Response {
+        let snap = self.snapshot();
+        let resident = self.resident_except(None);
+        let mut resp = Response::new(id, "stats", Status::Ok)
+            .with_field("datasets", resident.len())
+            .with_field("received", snap.received)
+            .with_field("served", snap.served)
+            .with_field("busy_rejected", snap.busy_rejected)
+            .with_field("errors", snap.errors)
+            .with_field("panics", snap.panics)
+            .with_field("queued", snap.queued)
+            .with_field("active", snap.active)
+            .with_field("queue_capacity", self.cfg.queue_capacity)
+            .with_field("workers", graphsig_core::resolve_threads(self.cfg.workers))
+            .with_field("segments_queued", snap.segments)
+            .with_field("coalesce_leads", snap.coalesce_leads)
+            .with_field("coalesce_riders", snap.coalesce_riders)
+            .with_field("queue_wait_us", snap.queue_wait_us)
+            .with_field("exec_us", snap.exec_us)
+            .with_field("op_load", self.counters.op_load.load(Ordering::Relaxed))
+            .with_field("op_mine", self.counters.op_mine.load(Ordering::Relaxed))
+            .with_field("op_freq", self.counters.op_freq.load(Ordering::Relaxed))
+            .with_field("op_sweep", self.counters.op_sweep.load(Ordering::Relaxed))
+            .with_field("op_stats", self.counters.op_stats.load(Ordering::Relaxed))
+            .with_field(
+                "resident_bytes",
+                resident.iter().map(|d| d.resident_bytes()).sum::<u64>(),
+            )
+            .with_field("evictions", self.counters.evictions.load(Ordering::Relaxed))
+            .with_field("store_retries", self.cfg.io.retries());
+        if let Some(max) = self.cfg.max_resident_bytes {
+            resp = resp.with_field("max_resident_bytes", max);
         }
+        resp
     }
+}
+
+/// `stats dataset=D`: one resident version's shape, caches and store
+/// provenance.
+fn dataset_stats(id: &str, d: &Dataset) -> Response {
+    let s = d.db.stats();
+    let cache = d.prepared.stats();
+    let mut resp = Response::new(id, "stats", Status::Ok)
+        .with_field("dataset", &d.name)
+        .with_field("version", d.version)
+        .with_field("graphs", s.graph_count)
+        .with_field("nodes", s.total_nodes)
+        .with_field("edges", s.total_edges)
+        .with_field("segments", d.slots.len())
+        .with_field(
+            "segments_indexed",
+            d.slots.iter().filter(|s| s.index.get().is_some()).count(),
+        )
+        .with_field("prepared_hits", cache.hits)
+        .with_field("prepared_misses", cache.misses)
+        .with_field("prepared_bypasses", cache.bypasses)
+        .with_field("prepared_entries", cache.entries)
+        .with_field("resident_bytes", d.resident_bytes());
+    if let Some(info) = &d.store {
+        resp = resp
+            .with_field("shards", info.manifest_shards - info.quarantined)
+            .with_field("quarantined", info.quarantined)
+            .with_field("disk_bytes", info.disk_bytes)
+            .with_field("store_version", info.store_version);
+    }
+    if let Some(flag) = d.degraded() {
+        resp = resp.with_field("degraded", flag);
+    }
+    // The shared index is only reported once built — its presence is
+    // itself the observability signal that `freq` requests are reusing one
+    // build.
+    if let Some(index) = d.index.get() {
+        resp = resp
+            .with_field("index_types", index.len())
+            .with_field("index_occurrences", index.total_occurrences());
+    }
+    resp
+}
+
+/// The error a request naming a non-resident dataset gets.
+fn unknown_dataset(name: &str) -> String {
+    format!("unknown dataset '{name}' (load it first)")
 }
 
 /// How one governed pipeline run ended.

@@ -1,90 +1,297 @@
 //! Integration tests for the resident mining service.
 
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
 use graphsig_core::{render_subgraphs, GraphSig, GraphSigConfig};
-use graphsig_server::protocol::parse_response_stream;
-use graphsig_server::{Server, ServerConfig, SharedWriter, Status};
+use graphsig_server::harness::{check, Harness};
+use graphsig_server::{ServerConfig, Status};
 
-#[derive(Clone, Default)]
-struct Sink(Arc<Mutex<Vec<u8>>>);
+type TestResult = Result<(), String>;
 
-impl Write for Sink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+/// The one-shot pipeline's mine payload for `aids_like(count, seed)`.
+fn one_shot(count: usize, seed: u64) -> String {
+    let db = graphsig_datagen::aids_like(count, seed).db;
+    let result = GraphSig::new(GraphSigConfig {
+        min_freq: 0.05,
+        max_pvalue: 0.05,
+        radius: 3,
+        ..GraphSigConfig::default()
+    })
+    .mine_outcome(&db)
+    .result;
+    render_subgraphs(&db, &result, usize::MAX)
 }
 
-fn writer(sink: &Sink) -> SharedWriter {
-    Arc::new(Mutex::new(Box::new(sink.clone())))
+/// The fault-injection gauntlet: every degradation path at once, and
+/// every submitted request must resolve to exactly one structured
+/// response — no silent drops, no dead workers:
+///
+/// 1. concurrent mine requests with mixed budgets (unlimited, expired
+///    deadline, step budget),
+/// 2. one deliberately panicking request (isolated to an error response),
+/// 3. one request cancelled mid-flight,
+/// 4. queue-full `busy` rejections while both workers are pinned,
+/// 5. repeated identical requests served from the shared window-pass
+///    cache, byte-identical to the in-process one-shot pipeline,
+/// 6. a `freq` request sharing the label-pair index,
+/// 7. graceful shutdown whose drain deadline force-cancels a hung
+///    request — which still gets its response.
+#[test]
+fn smoke_scenario_passes() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
+        workers: 2,
+        queue_capacity: 2,
+        drain_ms: 10_000,
+        allow_inject: true,
+        ..ServerConfig::default()
+    });
+    let mine = "dataset=d min_freq=0.05 max_pvalue=0.05 radius=3";
+
+    // -- Resident dataset ------------------------------------------------
+    h.send("load id=load1 dataset=d gen=aids count=120 seed=7");
+    let (resp, _) = h.wait_response("load1")?;
+    check(resp.status == Status::Ok, "load must succeed")?;
+    check(
+        resp.field("version") == Some("1"),
+        "first load is version 1",
+    )?;
+
+    // -- Pin both workers, then exercise backpressure --------------------
+    // Distinct sleep_ms: identical injected mines would *coalesce* (the
+    // single-flight key includes the fault-injection knobs), and a rider
+    // costs no worker — this scenario needs both workers genuinely pinned.
+    h.send(&format!("mine id=sleepA sleep_ms=60000 {mine}"));
+    h.send(&format!("mine id=sleepB sleep_ms=59000 {mine}"));
+    h.wait_state("both workers pinned", |s| s.active == 2)?;
+    h.send(&format!("mine id=q1 {mine}"));
+    h.send(&format!("mine id=q2 {mine}"));
+    h.wait_state("queue full", |s| s.queued == 2)?;
+    for i in 0..3 {
+        h.send(&format!("mine id=shed{i} {mine}"));
+        let (resp, _) = h.wait_response(&format!("shed{i}"))?;
+        check(
+            resp.status == Status::Busy,
+            "queue-full submission must be rejected busy",
+        )?;
+        check(resp.field("queue") == Some("2"), "busy reports queue depth")?;
+    }
+    check(
+        h.server.snapshot().busy_rejected == 3,
+        "busy rejections counted",
+    )?;
+
+    // Control plane still answers while saturated.
+    h.send("ping id=ping1");
+    let (resp, _) = h.wait_response("ping1")?;
+    check(resp.status == Status::Ok, "ping while saturated")?;
+
+    // -- Cancellation mid-flight -----------------------------------------
+    h.send("cancel id=c1 target=sleepA");
+    let (resp, _) = h.wait_response("c1")?;
+    check(resp.field("found") == Some("true"), "cancel finds sleepA")?;
+    let (resp, _) = h.wait_response("sleepA")?;
+    check(
+        resp.status == Status::Ok && resp.field("completion") == Some("truncated (cancelled)"),
+        "cancelled request resolves structured",
+    )?;
+    // Response shape is uniform across outcomes: even a request cancelled
+    // inside the injected sleep names the dataset it was resolved against.
+    check(
+        resp.field("dataset") == Some("d") && resp.field("version") == Some("1"),
+        "cancelled mine response carries dataset identity",
+    )?;
+    // Cancelling an unknown id is a structured no-op.
+    h.send("cancel id=c2 target=nonexistent");
+    let (resp, _) = h.wait_response("c2")?;
+    check(resp.field("found") == Some("false"), "cancel miss reported")?;
+
+    // Queued work drains through the freed worker.
+    let (q1, q1_body) = h.wait_response("q1")?;
+    let (_q2, q2_body) = h.wait_response("q2")?;
+    check(q1.status == Status::Ok, "queued mine served after drain")?;
+    check(
+        q1_body == q2_body && !q1_body.is_empty(),
+        "identical queued requests produce identical payloads",
+    )?;
+
+    // -- Shared-state cache: byte-identical to the one-shot pipeline -----
+    let expected = one_shot(120, 7);
+    check(
+        q1_body == expected,
+        "server mine payload must be byte-identical to the one-shot pipeline",
+    )?;
+    h.send(&format!("mine id=warm {mine}"));
+    let (resp, body) = h.wait_response("warm")?;
+    check(
+        resp.field("cached") == Some("hit"),
+        "repeated identical request is a cache hit",
+    )?;
+    check(body == expected, "cache hit payload byte-identical")?;
+
+    // -- Mixed budgets under load ----------------------------------------
+    h.send(&format!("mine id=deadline timeout_ms=1 {mine}"));
+    h.send(&format!("mine id=steps max_steps=200 {mine}"));
+    let (resp, _) = h.wait_response("deadline")?;
+    check(
+        resp.status == Status::Ok && resp.field("completion") != Some("complete"),
+        "expired deadline yields a truncated ok response",
+    )?;
+    let (resp, _) = h.wait_response("steps")?;
+    check(
+        resp.field("cached") == Some("bypass"),
+        "step-budgeted request bypasses the cache",
+    )?;
+    check(
+        resp.field("completion") == Some("truncated (step budget exhausted)"),
+        "tiny step budget truncates deterministically",
+    )?;
+
+    // -- Panic isolation --------------------------------------------------
+    h.send(&format!("mine id=poison inject=panic {mine}"));
+    let (resp, _) = h.wait_response("poison")?;
+    check(
+        resp.status == Status::Error && resp.field("error").is_some_and(|e| e.contains("panicked")),
+        "poisoned request resolves to a structured error",
+    )?;
+    check(h.server.snapshot().panics == 1, "panic counted")?;
+    h.send(&format!("mine id=after_poison {mine}"));
+    let (resp, body) = h.wait_response("after_poison")?;
+    check(
+        resp.status == Status::Ok && body == expected,
+        "server keeps serving correctly after a panic",
+    )?;
+
+    // -- Shared index (`freq`) + cache observability via stats ------------
+    h.send("freq id=f1 dataset=d min_support=40 max_edges=3");
+    let (resp, _) = h.wait_response("f1")?;
+    check(resp.status == Status::Ok, "freq request served")?;
+    check(
+        resp.field("index_types").is_some_and(|v| v != "0"),
+        "freq uses the shared label-pair index",
+    )?;
+    h.send("stats id=s1 dataset=d");
+    let (resp, _) = h.wait_response("s1")?;
+    check(
+        resp.field("prepared_hits")
+            .and_then(|v| v.parse::<u64>().ok())
+            .is_some_and(|hits| hits >= 2),
+        "stats shows window-pass cache hits",
+    )?;
+    check(
+        resp.field("index_types").is_some(),
+        "stats shows the built shared index",
+    )?;
+
+    // -- Versioned invalidation -------------------------------------------
+    h.send("load id=load2 dataset=d gen=aids count=120 seed=7");
+    let (resp, _) = h.wait_response("load2")?;
+    check(
+        resp.field("version") == Some("2"),
+        "reload bumps the version",
+    )?;
+    h.send("stats id=s2 dataset=d");
+    let (resp, _) = h.wait_response("s2")?;
+    check(
+        resp.field("prepared_hits") == Some("0") && resp.field("prepared_entries") == Some("0"),
+        "reload invalidates the prepared cache",
+    )?;
+
+    // -- Graceful shutdown force-cancels the hung request ------------------
+    // sleepB is still hanging. A short drain deadline must cancel it, it
+    // must still respond, and only then does shutdown confirm.
+    h.send("shutdown id=bye drain_ms=300");
+    let (resp, _) = h.wait_response("bye")?;
+    check(resp.status == Status::Ok, "shutdown confirms")?;
+    check(
+        resp.field("forced") == Some("true"),
+        "drain deadline forced cancellation of the hung request",
+    )?;
+    let (resp, _) = h.wait_response("sleepB")?;
+    check(
+        resp.field("completion") == Some("truncated (cancelled)"),
+        "hung request resolved during forced drain",
+    )?;
+    check(h.server.is_terminated(), "server terminated after shutdown")?;
+    // Post-shutdown submissions are rejected, not dropped.
+    h.send(&format!("mine id=late {mine}"));
+    let (resp, _) = h.wait_response("late")?;
+    check(
+        resp.status == Status::Error
+            && resp
+                .field("error")
+                .is_some_and(|e| e.contains("shutting down")),
+        "post-shutdown submission rejected with a structured error",
+    )?;
+
+    // -- Global invariant: one response per submitted request --------------
+    h.check_one_response_each()?;
+    h.server.join();
+    Ok(())
 }
 
-/// Wait until the sink holds a response for every id in `ids`.
-fn wait_all(sink: &Sink, ids: &[String]) -> Vec<(graphsig_server::ResponseHeader, Vec<u8>)> {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let buf = sink.0.lock().unwrap().clone();
-        if let Ok(responses) = parse_response_stream(&buf) {
-            if ids
-                .iter()
-                .all(|id| responses.iter().any(|(h, _)| &h.id == id))
-            {
-                return responses;
+#[test]
+fn pipelined_loads_are_seen_by_exactly_the_requests_behind_them() -> TestResult {
+    // The ordering rule: a request naming a dataset observes every load of
+    // it submitted before the request, and none submitted after — however
+    // many workers race for the queue. Nothing here waits between sends.
+    let script = [
+        "load id=L1 dataset=d gen=aids count=30 seed=1",
+        "mine id=M1 dataset=d min_freq=0.1 max_pvalue=0.05 radius=2",
+        "load id=L2 dataset=d gen=aids count=20 seed=2 append=true",
+        "mine id=M2 dataset=d min_freq=0.1 max_pvalue=0.05 radius=2",
+        "stats id=S dataset=d",
+        "load id=L3 dataset=d gen=aids count=25 seed=3",
+        "freq id=F dataset=d min_support=10 max_edges=3",
+    ];
+    let ids = ["L1", "M1", "L2", "M2", "S", "L3", "F"];
+    let versions = ["1", "1", "2", "2", "2", "3", "3"];
+    for workers in [1, 2, 4] {
+        for round in 0..20 {
+            let mut h = Harness::new(ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            });
+            for line in script {
+                h.send(line);
             }
+            for (id, version) in ids.into_iter().zip(versions) {
+                let (resp, _) = h.wait_response(id)?;
+                let at = format!("workers={workers} round={round} {id}: {resp:?}");
+                assert_eq!(resp.status, Status::Ok, "{at}");
+                assert_eq!(resp.field("version"), Some(version), "{at}");
+            }
+            let (stats, _) = h.wait_response("S")?;
+            assert_eq!(stats.field("graphs"), Some("50"), "append lands before S");
+            assert_eq!(h.server.snapshot().errors, 0);
+            h.server.join();
         }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for responses; stream so far:\n{}",
-            String::from_utf8_lossy(&buf)
-        );
-        std::thread::sleep(Duration::from_millis(10));
     }
+    Ok(())
 }
 
 #[test]
-fn smoke_scenario_passes() {
-    // The full fault-injection gauntlet CI runs via `graphsig serve
-    // --smoke`: backpressure, cancellation, panic isolation, mixed
-    // budgets, cache observability, forced drain.
-    graphsig_server::smoke::run().expect("smoke scenario");
-}
-
-#[test]
-fn concurrent_mixed_budget_load_is_byte_identical_to_one_shot() {
-    let server = Server::new(ServerConfig {
+fn concurrent_mixed_budget_load_is_byte_identical_to_one_shot() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 4,
         queue_capacity: 64,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=100 seed=3", &out);
-    wait_all(&sink, &["L".to_string()]);
+    h.send("load id=L dataset=d gen=aids count=100 seed=3");
+    h.wait_response("L")?;
 
     // 12 concurrent submissions from 4 client threads: identical
     // unbudgeted requests interleaved with step-budgeted and
     // deadline-budgeted ones.
     let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3";
-    let mut ids = Vec::new();
     std::thread::scope(|s| {
         for t in 0..4 {
-            let out = Arc::clone(&out);
-            let server = &server;
-            ids.extend((0..3).map(|i| format!("t{t}r{i}")));
+            let h = &h;
             s.spawn(move || {
                 for (i, extra) in ["", " max_steps=100", " timeout_ms=1"].iter().enumerate() {
-                    server.dispatch_line(&format!("{mine} id=t{t}r{i}{extra}"), &out);
+                    h.server
+                        .dispatch_line(&format!("{mine} id=t{t}r{i}{extra}"), h.out());
                 }
             });
         }
     });
-    let responses = wait_all(&sink, &ids);
 
     let db = graphsig_datagen::aids_like(100, 3).db;
     let cfg = GraphSigConfig {
@@ -93,7 +300,7 @@ fn concurrent_mixed_budget_load_is_byte_identical_to_one_shot() {
         radius: 3,
         ..GraphSigConfig::default()
     };
-    let unbudgeted = render_subgraphs(&db, &GraphSig::new(cfg.clone()).mine(&db), usize::MAX);
+    let unbudgeted = one_shot(100, 3);
     let budgeted =
         GraphSig::new(cfg.with_budget(graphsig_core::Budget::unlimited().with_max_steps(100)))
             .mine_outcome(&db);
@@ -102,82 +309,62 @@ fn concurrent_mixed_budget_load_is_byte_identical_to_one_shot() {
     for t in 0..4 {
         // Unbudgeted requests: byte-identical to the one-shot pipeline,
         // even though they raced budgeted requests for workers + cache.
-        let (h, body) = responses
-            .iter()
-            .find(|(h, _)| h.id == format!("t{t}r0"))
-            .expect("unbudgeted response");
-        assert_eq!(h.status, Status::Ok);
-        assert_eq!(h.field("completion"), Some("complete"));
+        let (r, body) = h.wait_response(&format!("t{t}r0"))?;
+        assert_eq!(r.status, Status::Ok);
+        assert_eq!(r.field("completion"), Some("complete"));
         assert_eq!(
-            std::str::from_utf8(body).unwrap(),
-            unbudgeted,
+            body, unbudgeted,
             "client {t}: unbudgeted payload differs from one-shot"
         );
         // Step-budgeted requests: deterministic truncation, identical to
         // the one-shot budgeted run (cache bypassed by design).
-        let (h, body) = responses
-            .iter()
-            .find(|(h, _)| h.id == format!("t{t}r1"))
-            .expect("step-budgeted response");
-        assert_eq!(h.field("cached"), Some("bypass"));
+        let (r, body) = h.wait_response(&format!("t{t}r1"))?;
+        assert_eq!(r.field("cached"), Some("bypass"));
         assert_eq!(
-            h.field("completion"),
+            r.field("completion"),
             Some(budgeted.completion.to_string().as_str())
         );
-        assert_eq!(std::str::from_utf8(body).unwrap(), budgeted_payload);
+        assert_eq!(body, budgeted_payload);
         // Deadline requests: structured ok, complete or truncated.
-        let (h, _) = responses
-            .iter()
-            .find(|(h, _)| h.id == format!("t{t}r2"))
-            .expect("deadline response");
-        assert_eq!(h.status, Status::Ok);
+        let (r, _) = h.wait_response(&format!("t{t}r2"))?;
+        assert_eq!(r.status, Status::Ok);
     }
     // At most one window pass was prepared across all 8 cache-eligible
     // requests (4 unbudgeted + 4 deadline).
-    server.dispatch_line("stats id=S dataset=d", &out);
-    let responses = wait_all(&sink, &["S".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "S").unwrap();
-    assert_eq!(h.field("prepared_misses"), Some("1"));
-    assert_eq!(h.field("prepared_bypasses"), Some("4"));
-    server.join();
+    h.send("stats id=S dataset=d");
+    let (r, _) = h.wait_response("S")?;
+    assert_eq!(r.field("prepared_misses"), Some("1"));
+    assert_eq!(r.field("prepared_bypasses"), Some("4"));
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn sweep_payload_segments_match_individual_freq_calls() {
-    let server = Server::new(ServerConfig {
+fn sweep_payload_segments_match_individual_freq_calls() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=60 seed=5", &out);
-    wait_all(&sink, &["L".to_string()]);
-    server.dispatch_line("freq id=f12 dataset=d min_support=12 max_edges=5", &out);
-    server.dispatch_line("freq id=f6 dataset=d min_support=6 max_edges=5", &out);
-    server.dispatch_line(
-        "freq id=fv dataset=d min_support=6 max_edges=5 matcher=vf2",
-        &out,
-    );
-    server.dispatch_line("sweep id=s dataset=d supports=12,6 max_edges=5", &out);
-    let ids: Vec<String> = ["f12", "f6", "fv", "s"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let responses = wait_all(&sink, &ids);
-    let body = |id: &str| -> String {
-        let (h, b) = responses.iter().find(|(h, _)| h.id == id).expect(id);
-        assert_eq!(h.status, Status::Ok, "{id}");
-        String::from_utf8(b.clone()).expect("utf-8 payload")
+    h.send("load id=L dataset=d gen=aids count=60 seed=5");
+    h.wait_response("L")?;
+    h.send("freq id=f12 dataset=d min_support=12 max_edges=5");
+    h.send("freq id=f6 dataset=d min_support=6 max_edges=5");
+    h.send("freq id=fv dataset=d min_support=6 max_edges=5 matcher=vf2");
+    h.send("sweep id=s dataset=d supports=12,6 max_edges=5");
+    let body = |id: &str| -> Result<String, String> {
+        let (r, b) = h.wait_response(id)?;
+        assert_eq!(r.status, Status::Ok, "{id}");
+        Ok(b)
     };
     // The vf2 engine produces the same frequent patterns as the default
     // fast engine — byte-identical payloads.
-    assert_eq!(body("f6"), body("fv"), "vf2 vs fast freq payloads differ");
+    assert_eq!(body("f6")?, body("fv")?, "vf2 vs fast freq payloads differ");
     // Each sweep segment (after its marker line) is byte-identical to the
     // corresponding individual freq payload.
-    let sweep = body("s");
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "s").unwrap();
-    assert_eq!(h.field("supports"), Some("2"));
-    assert_eq!(h.field("completion"), Some("complete"));
+    let sweep = body("s")?;
+    let (r, _) = h.wait_response("s")?;
+    assert_eq!(r.field("supports"), Some("2"));
+    assert_eq!(r.field("completion"), Some("complete"));
     let markers: Vec<usize> = sweep
         .match_indices("# sweep support ")
         .map(|(i, _)| i)
@@ -192,364 +379,309 @@ fn sweep_payload_segments_match_individual_freq_calls() {
         };
         &sweep[start..end]
     };
-    assert_eq!(segment(0), body("f12"), "support=12 segment differs");
-    assert_eq!(segment(1), body("f6"), "support=6 segment differs");
+    assert_eq!(segment(0), body("f12")?, "support=12 segment differs");
+    assert_eq!(segment(1), body("f6")?, "support=6 segment differs");
     // Empty and zero support lists are structured errors.
-    server.dispatch_line("sweep id=z dataset=d supports=0,3", &out);
-    let responses = wait_all(&sink, &["z".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "z").unwrap();
-    assert_eq!(h.status, Status::Error);
-    server.join();
-}
-
-/// Poll the server snapshot until `pred` holds (or panic after 30s).
-fn wait_snapshot(
-    server: &Server,
-    what: &str,
-    pred: impl Fn(&graphsig_server::ServerSnapshot) -> bool,
-) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !pred(&server.snapshot()) {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    h.send("sweep id=z dataset=d supports=0,3");
+    let (r, _) = h.wait_response("z")?;
+    assert_eq!(r.status, Status::Error);
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn identical_concurrent_mines_coalesce_to_one_run() {
-    let server = Server::new(ServerConfig {
+fn identical_concurrent_mines_coalesce_to_one_run() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 4,
         queue_capacity: 64,
         allow_inject: true,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=80 seed=7", &out);
-    wait_all(&sink, &["L".to_string()]);
+    h.send("load id=L dataset=d gen=aids count=80 seed=7");
+    h.wait_response("L")?;
 
     // A slow leader holds the flight open; two byte-identical requests
     // arrive while it sleeps and must attach as riders rather than
     // running (or even preparing) anything themselves.
     let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=1500";
-    server.dispatch_line(&format!("{mine} id=lead"), &out);
-    wait_snapshot(&server, "leader to start", |s| s.active >= 1);
-    server.dispatch_line(&format!("{mine} id=ride1"), &out);
-    server.dispatch_line(&format!("{mine} id=ride2"), &out);
+    h.send(&format!("{mine} id=lead"));
+    h.wait_state("leader to start", |s| s.active >= 1)?;
+    h.send(&format!("{mine} id=ride1"));
+    h.send(&format!("{mine} id=ride2"));
     // The coalesce counter proves both attached to the in-flight run
     // *before* it completed — not that they merely ran the same job.
-    wait_snapshot(&server, "riders to attach", |s| s.coalesce_riders == 2);
+    h.wait_state("riders to attach", |s| s.coalesce_riders == 2)?;
 
-    let ids: Vec<String> = ["lead", "ride1", "ride2"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let responses = wait_all(&sink, &ids);
-    let body = |id: &str| -> &[u8] {
-        let (h, b) = responses.iter().find(|(h, _)| h.id == id).expect(id);
-        assert_eq!(h.status, Status::Ok, "{id}");
-        assert_eq!(h.field("completion"), Some("complete"), "{id}");
-        b
+    let body = |id: &str| -> Result<String, String> {
+        let (r, b) = h.wait_response(id)?;
+        assert_eq!(r.status, Status::Ok, "{id}");
+        assert_eq!(r.field("completion"), Some("complete"), "{id}");
+        Ok(b)
     };
-    assert_eq!(body("lead"), body("ride1"), "rider payload differs");
-    assert_eq!(body("lead"), body("ride2"), "rider payload differs");
+    assert_eq!(body("lead")?, body("ride1")?, "rider payload differs");
+    assert_eq!(body("lead")?, body("ride2")?, "rider payload differs");
 
-    let snap = server.snapshot();
+    let snap = h.server.snapshot();
     assert_eq!(snap.coalesce_leads, 1, "exactly one flight led");
     assert_eq!(snap.coalesce_riders, 2, "both followers attached");
     // One prepare across three requests: the window pass ran once.
-    server.dispatch_line("stats id=S dataset=d", &out);
-    let responses = wait_all(&sink, &["S".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "S").unwrap();
-    assert_eq!(h.field("prepared_misses"), Some("1"));
-    assert_eq!(h.field("prepared_hits"), Some("0"));
-    server.join();
+    h.send("stats id=S dataset=d");
+    let (r, _) = h.wait_response("S")?;
+    assert_eq!(r.field("prepared_misses"), Some("1"));
+    assert_eq!(r.field("prepared_hits"), Some("0"));
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn rider_cancel_detaches_without_cancelling_the_shared_run() {
-    let server = Server::new(ServerConfig {
+fn rider_cancel_detaches_without_cancelling_the_shared_run() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 4,
         allow_inject: true,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=40 seed=2", &out);
-    wait_all(&sink, &["L".to_string()]);
+    h.send("load id=L dataset=d gen=aids count=40 seed=2");
+    h.wait_response("L")?;
 
     let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=60000";
-    server.dispatch_line(&format!("{mine} id=lead"), &out);
-    wait_snapshot(&server, "leader to start", |s| s.active >= 1);
-    server.dispatch_line(&format!("{mine} id=ride"), &out);
-    wait_snapshot(&server, "rider to attach", |s| s.coalesce_riders == 1);
+    h.send(&format!("{mine} id=lead"));
+    h.wait_state("leader to start", |s| s.active >= 1)?;
+    h.send(&format!("{mine} id=ride"));
+    h.wait_state("rider to attach", |s| s.coalesce_riders == 1)?;
 
     // Cancelling the rider detaches it immediately: it answers
     // `truncated (cancelled)` with full dataset identity while the
     // shared run keeps going for the leader.
-    server.dispatch_line("cancel id=c1 target=ride", &out);
-    let responses = wait_all(&sink, &["c1".to_string(), "ride".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "c1").unwrap();
-    assert_eq!(h.field("found"), Some("true"));
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "ride").unwrap();
-    assert_eq!(h.status, Status::Ok);
-    assert_eq!(h.field("completion"), Some("truncated (cancelled)"));
-    assert_eq!(h.field("dataset"), Some("d"));
-    assert_eq!(h.field("version"), Some("1"));
-    let snap = server.snapshot();
+    h.send("cancel id=c1 target=ride");
+    let (r, _) = h.wait_response("c1")?;
+    assert_eq!(r.field("found"), Some("true"));
+    let (r, _) = h.wait_response("ride")?;
+    assert_eq!(r.status, Status::Ok);
+    assert_eq!(r.field("completion"), Some("truncated (cancelled)"));
+    assert_eq!(r.field("dataset"), Some("d"));
+    assert_eq!(r.field("version"), Some("1"));
+    let snap = h.server.snapshot();
     assert_eq!(snap.active, 1, "shared run must survive a rider cancel");
 
     // Cancelling the last participant cancels the group token: the
     // 60s sleep wakes immediately instead of running out the clock.
-    server.dispatch_line("cancel id=c2 target=lead", &out);
-    let responses = wait_all(&sink, &["c2".to_string(), "lead".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "lead").unwrap();
-    assert_eq!(h.field("completion"), Some("truncated (cancelled)"));
-    wait_snapshot(&server, "workers to idle", |s| s.active == 0);
-    server.join();
+    h.send("cancel id=c2 target=lead");
+    h.wait_response("c2")?;
+    let (r, _) = h.wait_response("lead")?;
+    assert_eq!(r.field("completion"), Some("truncated (cancelled)"));
+    h.wait_state("workers to idle", |s| s.active == 0)?;
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn leader_panic_fails_every_rider() {
-    let server = Server::new(ServerConfig {
+fn leader_panic_fails_every_rider() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 4,
         allow_inject: true,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=40 seed=2", &out);
-    wait_all(&sink, &["L".to_string()]);
+    h.send("load id=L dataset=d gen=aids count=40 seed=2");
+    h.wait_response("L")?;
 
     let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=1500 inject=panic";
-    server.dispatch_line(&format!("{mine} id=lead"), &out);
-    wait_snapshot(&server, "leader to start", |s| s.active >= 1);
-    server.dispatch_line(&format!("{mine} id=ride"), &out);
-    wait_snapshot(&server, "rider to attach", |s| s.coalesce_riders == 1);
+    h.send(&format!("{mine} id=lead"));
+    h.wait_state("leader to start", |s| s.active >= 1)?;
+    h.send(&format!("{mine} id=ride"));
+    h.wait_state("rider to attach", |s| s.coalesce_riders == 1)?;
 
-    let responses = wait_all(&sink, &["lead".to_string(), "ride".to_string()]);
     for id in ["lead", "ride"] {
-        let (h, _) = responses.iter().find(|(h, _)| h.id == id).expect(id);
-        assert_eq!(h.status, Status::Error, "{id}");
-        assert!(h.field("error").unwrap().contains("panicked"), "{id}");
+        let (r, _) = h.wait_response(id)?;
+        assert_eq!(r.status, Status::Error, "{id}");
+        assert!(r.field("error").unwrap().contains("panicked"), "{id}");
     }
     // One panic isolated — the rider's failure is the same panic, not a
     // second one — and the server keeps serving.
-    assert_eq!(server.snapshot().panics, 1);
-    server.dispatch_line("ping id=alive", &out);
-    wait_all(&sink, &["alive".to_string()]);
-    server.join();
+    assert_eq!(h.server.snapshot().panics, 1);
+    h.send("ping id=alive");
+    h.wait_response("alive")?;
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn sweep_segments_do_not_starve_other_requests() {
+fn sweep_segments_do_not_starve_other_requests() -> TestResult {
     // One worker, one long sweep: per-threshold segments queue behind
     // regular requests, so a freq submitted mid-sweep completes before
     // the sweep does instead of waiting out every threshold.
-    let server = Server::new(ServerConfig {
+    let mut h = Harness::new(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=200 seed=9", &out);
-    wait_all(&sink, &["L".to_string()]);
-    server.dispatch_line(
-        "sweep id=s dataset=d supports=80,60,40,30,20,10 max_edges=5",
-        &out,
-    );
+    h.send("load id=L dataset=d gen=aids count=200 seed=9");
+    h.wait_response("L")?;
+    h.send("sweep id=s dataset=d supports=80,60,40,30,20,10 max_edges=5");
     // Catch the sweep mid-flight with segments still queued.
-    wait_snapshot(&server, "sweep segments to queue", |s| s.segments >= 3);
-    server.dispatch_line("freq id=m dataset=d min_support=100 max_edges=3", &out);
-    let responses = wait_all(&sink, &["m".to_string(), "s".to_string()]);
-    let pos = |id: &str| responses.iter().position(|(h, _)| h.id == id).expect(id);
+    h.wait_state("sweep segments to queue", |s| s.segments >= 3)?;
+    h.send("freq id=m dataset=d min_support=100 max_edges=3");
+    let (r, _) = h.wait_response("s")?;
+    assert_eq!(r.status, Status::Ok);
+    assert_eq!(r.field("completion"), Some("complete"));
+    let responses = h.responses()?;
+    let pos = |id: &str| responses.iter().position(|(r, _)| r.id == id).expect(id);
     assert!(
         pos("m") < pos("s"),
         "freq response must precede the sweep's: segments hogged the worker"
     );
-    let (h, _) = &responses[pos("s")];
-    assert_eq!(h.status, Status::Ok);
-    assert_eq!(h.field("completion"), Some("complete"));
-    server.join();
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn busy_rejected_request_is_never_cancellable() {
+fn busy_rejected_request_is_never_cancellable() -> TestResult {
     // Regression: `submit` used to register the request id in the
     // inflight table *before* the capacity check, so a cancel racing a
     // busy rejection could observe (and report found=true for) a request
     // the server never accepted.
-    let server = Server::new(ServerConfig {
+    let mut h = Harness::new(ServerConfig {
         workers: 1,
         queue_capacity: 1,
         allow_inject: true,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=30 seed=1", &out);
-    wait_all(&sink, &["L".to_string()]);
+    h.send("load id=L dataset=d gen=aids count=30 seed=1");
+    h.wait_response("L")?;
     // Pin the only worker, then fill the only queue slot.
     let cheap = "min_freq=0.05 max_pvalue=0.05 radius=3";
-    server.dispatch_line(
-        &format!("mine id=pin dataset=d {cheap} sleep_ms=60000"),
-        &out,
-    );
-    wait_snapshot(&server, "pin to start", |s| s.active == 1);
-    server.dispatch_line(&format!("mine id=fill dataset=d {cheap}"), &out);
-    wait_snapshot(&server, "queue to fill", |s| s.queued == 1);
+    h.send(&format!("mine id=pin dataset=d {cheap} sleep_ms=60000"));
+    h.wait_state("pin to start", |s| s.active == 1)?;
+    h.send(&format!("mine id=fill dataset=d {cheap}"));
+    h.wait_state("queue to fill", |s| s.queued == 1)?;
 
     for i in 0..8 {
-        server.dispatch_line(&format!("mine id=race{i} dataset=d {cheap}"), &out);
-        server.dispatch_line(&format!("cancel id=c{i} target=race{i}"), &out);
+        h.send(&format!("mine id=race{i} dataset=d {cheap}"));
+        h.send(&format!("cancel id=c{i} target=race{i}"));
     }
-    let ids: Vec<String> = (0..8)
-        .flat_map(|i| [format!("race{i}"), format!("c{i}")])
-        .collect();
-    let responses = wait_all(&sink, &ids);
     for i in 0..8 {
-        let (h, _) = responses
-            .iter()
-            .find(|(h, _)| h.id == format!("race{i}"))
-            .unwrap();
-        assert_eq!(h.status, Status::Busy, "race{i} must be busy-rejected");
-        let (h, _) = responses
-            .iter()
-            .find(|(h, _)| h.id == format!("c{i}"))
-            .unwrap();
+        let (r, _) = h.wait_response(&format!("race{i}"))?;
+        assert_eq!(r.status, Status::Busy, "race{i} must be busy-rejected");
+        let (r, _) = h.wait_response(&format!("c{i}"))?;
         assert_eq!(
-            h.field("found"),
+            r.field("found"),
             Some("false"),
             "cancel c{i} observed a token for a request the server rejected"
         );
     }
-    assert_eq!(server.snapshot().busy_rejected, 8);
-    server.dispatch_line("cancel id=cp target=pin", &out);
-    wait_all(&sink, &["pin".to_string(), "fill".to_string()]);
-    server.join();
+    assert_eq!(h.server.snapshot().busy_rejected, 8);
+    h.send("cancel id=cp target=pin");
+    h.wait_response("pin")?;
+    h.wait_response("fill")?;
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn duplicate_ids_and_unknown_datasets_are_structured_errors() {
-    let server = Server::new(ServerConfig {
+fn duplicate_ids_and_unknown_datasets_are_structured_errors() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 1,
         allow_inject: true,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("mine id=m1 dataset=nope", &out);
-    let responses = wait_all(&sink, &["m1".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "m1").unwrap();
-    assert_eq!(h.status, Status::Error);
-    assert!(h.field("error").unwrap().contains("unknown dataset"));
+    h.send("mine id=m1 dataset=nope");
+    let (r, _) = h.wait_response("m1")?;
+    assert_eq!(r.status, Status::Error);
+    assert!(r.field("error").unwrap().contains("unknown dataset"));
 
-    // A duplicate id while the first is still in flight is rejected.
-    server.dispatch_line("load id=L dataset=d gen=aids count=30 seed=1", &out);
-    wait_all(&sink, &["L".to_string()]);
+    h.send("load id=L dataset=d gen=aids count=30 seed=1");
+    h.wait_response("L")?;
 
     // Out-of-range thresholds are rejected with the field named.
-    server.dispatch_line("mine id=bad dataset=d fsm_freq=1.5", &out);
-    let responses = wait_all(&sink, &["bad".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "bad").unwrap();
-    assert_eq!(h.status, Status::Error);
-    assert!(h.field("error").unwrap().contains("fsm_freq"), "{h:?}");
+    h.send("mine id=bad dataset=d fsm_freq=1.5");
+    let (r, _) = h.wait_response("bad")?;
+    assert_eq!(r.status, Status::Error);
+    assert!(r.field("error").unwrap().contains("fsm_freq"), "{r:?}");
 
-    server.dispatch_line("mine id=dup dataset=d sleep_ms=2000", &out);
-    // Wait until it is executing, then collide.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while server.snapshot().active == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    server.dispatch_line("mine id=dup dataset=d", &out);
-    server.dispatch_line("cancel id=c target=dup", &out);
-    let responses = wait_all(&sink, &["c".to_string()]);
-    let dup_errors = responses
+    // A duplicate id while the first is still in flight is rejected.
+    h.send("mine id=dup dataset=d sleep_ms=2000");
+    h.wait_state("dup to execute", |s| s.active > 0)?;
+    h.send("mine id=dup dataset=d");
+    h.send("cancel id=c target=dup");
+    h.wait_response("c")?;
+    let dup_errors = h
+        .responses()?
         .iter()
-        .filter(|(h, _)| h.id == "dup" && h.status == Status::Error)
+        .filter(|(r, _)| r.id == "dup" && r.status == Status::Error)
         .count();
     assert_eq!(dup_errors, 1, "second 'dup' submission must error");
-    server.join();
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn malformed_lines_get_error_responses_and_server_survives() {
-    let server = Server::new(ServerConfig::default());
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("gibberish", &out);
-    server.dispatch_line("mine id=x radius=", &out);
-    server.dispatch_line("mine id=y dataset=d bogus=1", &out);
-    server.dispatch_line("", &out); // ignored
-    server.dispatch_line("# comment", &out); // ignored
-    server.dispatch_line("ping id=alive", &out);
-    let responses = wait_all(&sink, &["alive".to_string()]);
+fn malformed_lines_get_error_responses_and_server_survives() -> TestResult {
+    let mut h = Harness::new(ServerConfig::default());
+    h.send("gibberish");
+    h.send("mine id=x radius=");
+    h.send("mine id=y dataset=d bogus=1");
+    h.send(""); // ignored
+    h.send("# comment"); // ignored
+    h.send("ping id=alive");
+    h.wait_response("alive")?;
+    let responses = h.responses()?;
     assert_eq!(responses.len(), 4, "three errors + one pong");
     assert!(responses
         .iter()
-        .filter(|(h, _)| h.id != "alive")
-        .all(|(h, _)| h.status == Status::Error));
+        .filter(|(r, _)| r.id != "alive")
+        .all(|(r, _)| r.status == Status::Error));
     // The scavenged id correlates the malformed mine line.
-    assert!(responses.iter().any(|(h, _)| h.id == "y"));
-    server.join();
+    assert!(responses.iter().any(|(r, _)| r.id == "y"));
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn eof_shutdown_via_connection_loop_drains() {
+fn eof_shutdown_via_connection_loop_drains() -> TestResult {
     // serve_connection on an in-memory request script: every request is
     // answered, shutdown confirms, and the loop returns.
-    let server = Server::new(ServerConfig {
+    let h = Harness::new(ServerConfig {
         workers: 2,
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
     let script = "load id=L dataset=d gen=aids count=40 seed=2\n\
                   mine id=m dataset=d min_freq=0.05 max_pvalue=0.05 radius=3\n\
                   shutdown id=bye\n\
                   mine id=never dataset=d\n";
-    server.serve_connection(std::io::Cursor::new(script), writer(&sink));
-    let buf = sink.0.lock().unwrap().clone();
-    let responses = parse_response_stream(&buf).expect("clean stream");
-    let ids: Vec<&str> = responses.iter().map(|(h, _)| h.id.as_str()).collect();
+    h.server
+        .serve_connection(std::io::Cursor::new(script), h.out().clone());
+    let responses = h.responses()?;
+    let ids: Vec<&str> = responses.iter().map(|(r, _)| r.id.as_str()).collect();
     assert!(ids.contains(&"L") && ids.contains(&"m") && ids.contains(&"bye"));
     // The post-shutdown line is never read: the loop stopped at shutdown.
     assert!(!ids.contains(&"never"));
-    let (bye, _) = responses.iter().find(|(h, _)| h.id == "bye").unwrap();
+    let (bye, _) = h.wait_response("bye")?;
     assert_eq!(bye.status, Status::Ok);
     assert_eq!(bye.field("forced"), Some("false"), "drain was graceful");
-    assert!(server.is_terminated());
-    server.join();
+    assert!(h.server.is_terminated());
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn governor_rejects_oversized_loads_evicts_cold_caches_and_keeps_serving() {
-    let server = Server::new(ServerConfig {
+fn governor_rejects_oversized_loads_evicts_cold_caches_and_keeps_serving() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 2,
         queue_capacity: 16,
         max_resident_bytes: Some(4 * 1024 * 1024),
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
 
     // A dataset that fits, mined once to warm its prepared cache.
-    server.dispatch_line("load id=l1 dataset=d gen=aids count=80 seed=9", &out);
-    server.dispatch_line(
-        "mine id=m1 dataset=d min_freq=0.05 max_pvalue=0.05 radius=3",
-        &out,
-    );
-    let responses = wait_all(&sink, &["l1".into(), "m1".into()]);
-    let (l1, _) = responses.iter().find(|(h, _)| h.id == "l1").unwrap();
+    h.send("load id=l1 dataset=d gen=aids count=80 seed=9");
+    h.send("mine id=m1 dataset=d min_freq=0.05 max_pvalue=0.05 radius=3");
+    let (l1, _) = h.wait_response("l1")?;
     assert_eq!(l1.status, Status::Ok);
-    let (m1, body1) = responses.iter().find(|(h, _)| h.id == "m1").unwrap();
+    let (m1, body1) = h.wait_response("m1")?;
     assert_eq!(m1.status, Status::Ok);
-    let body1 = body1.clone();
 
     // A load that cannot fit even after eviction: structured rejection
     // that discloses the accounting, with the server still up.
-    server.dispatch_line("load id=big dataset=huge gen=aids count=9000 seed=1", &out);
-    let responses = wait_all(&sink, &["big".into()]);
-    let (big, _) = responses.iter().find(|(h, _)| h.id == "big").unwrap();
+    h.send("load id=big dataset=huge gen=aids count=9000 seed=1");
+    let (big, _) = h.wait_response("big")?;
     assert_eq!(big.status, Status::Error, "{big:?}");
     assert_eq!(big.field("code"), Some("resource_exhausted"));
     for key in ["requested_bytes", "resident_bytes", "max_resident_bytes"] {
@@ -558,9 +690,8 @@ fn governor_rejects_oversized_loads_evicts_cold_caches_and_keeps_serving() {
 
     // The attempt LRU-evicted the cold prepared cache before giving up,
     // and stats exposes both the eviction count and residency.
-    server.dispatch_line("stats id=s", &out);
-    let responses = wait_all(&sink, &["s".into()]);
-    let (s, _) = responses.iter().find(|(h, _)| h.id == "s").unwrap();
+    h.send("stats id=s");
+    let (s, _) = h.wait_response("s")?;
     assert_eq!(s.status, Status::Ok);
     assert!(
         s.field("evictions").and_then(|v| v.parse::<u64>().ok()) >= Some(1),
@@ -581,41 +712,36 @@ fn governor_rejects_oversized_loads_evicts_cold_caches_and_keeps_serving() {
 
     // Mining after the rejection (and the cache eviction) still serves
     // byte-identical results.
-    server.dispatch_line(
-        "mine id=m2 dataset=d min_freq=0.05 max_pvalue=0.05 radius=3",
-        &out,
-    );
-    let responses = wait_all(&sink, &["m2".into()]);
-    let (m2, body2) = responses.iter().find(|(h, _)| h.id == "m2").unwrap();
+    h.send("mine id=m2 dataset=d min_freq=0.05 max_pvalue=0.05 radius=3");
+    let (m2, body2) = h.wait_response("m2")?;
     assert_eq!(m2.status, Status::Ok);
     assert_eq!(
-        body2, &body1,
+        body2, body1,
         "mine after eviction must match the warm-cache run"
     );
 
-    server.shutdown_now();
-    server.join();
+    h.server.shutdown_now();
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn admitted_load_within_ceiling_succeeds() {
-    let server = Server::new(ServerConfig {
+fn admitted_load_within_ceiling_succeeds() -> TestResult {
+    let mut h = Harness::new(ServerConfig {
         workers: 1,
         max_resident_bytes: Some(64 * 1024 * 1024),
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=l dataset=d gen=aids count=200 seed=2", &out);
-    let responses = wait_all(&sink, &["l".into()]);
-    let (l, _) = responses.iter().find(|(h, _)| h.id == "l").unwrap();
+    h.send("load id=l dataset=d gen=aids count=200 seed=2");
+    let (l, _) = h.wait_response("l")?;
     assert_eq!(l.status, Status::Ok, "{l:?}");
-    server.shutdown_now();
-    server.join();
+    h.server.shutdown_now();
+    h.server.join();
+    Ok(())
 }
 
 #[test]
-fn packed_load_retries_transient_store_faults_and_reports_the_count() {
+fn packed_load_retries_transient_store_faults_and_reports_the_count() -> TestResult {
     use graphsig_store::{FaultPlan, Io};
 
     // Pack a store with clean I/O, then serve it through a seeded
@@ -627,19 +753,16 @@ fn packed_load_retries_transient_store_faults_and_reports_the_count() {
     graphsig_store::pack_with(&dir, &db, 16, &Io::real()).expect("pack");
 
     let io = Io::with_plan(FaultPlan::new(0xFAB).transient(400).transient_burst(2));
-    let server = Server::new(ServerConfig {
+    let mut h = Harness::new(ServerConfig {
         workers: 1,
         io: io.clone(),
         ..ServerConfig::default()
     });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line(
-        &format!("load id=lp dataset=p path={} format=packed", dir.display()),
-        &out,
-    );
-    let responses = wait_all(&sink, &["lp".into()]);
-    let (lp, _) = responses.iter().find(|(h, _)| h.id == "lp").unwrap();
+    h.send(&format!(
+        "load id=lp dataset=p path={} format=packed",
+        dir.display()
+    ));
+    let (lp, _) = h.wait_response("lp")?;
     assert_eq!(
         lp.status,
         Status::Ok,
@@ -654,15 +777,15 @@ fn packed_load_retries_transient_store_faults_and_reports_the_count() {
     assert_eq!(lp.field("graphs"), Some("60"));
 
     // stats surfaces the cumulative store retry count.
-    server.dispatch_line("stats id=s", &out);
-    let responses = wait_all(&sink, &["s".into()]);
-    let (s, _) = responses.iter().find(|(h, _)| h.id == "s").unwrap();
+    h.send("stats id=s");
+    let (s, _) = h.wait_response("s")?;
     assert!(
         s.field("store_retries").and_then(|v| v.parse::<u64>().ok()) >= Some(reported),
         "{s:?}"
     );
 
-    server.shutdown_now();
-    server.join();
+    h.server.shutdown_now();
+    h.server.join();
     let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
 }
