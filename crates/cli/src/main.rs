@@ -15,6 +15,7 @@
 //! significant subgraph as a transaction block preceded by a comment line
 //! with its statistics, so the output is itself parseable.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,6 +48,25 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Write `text` to stdout. When the reader has gone away
+/// (`graphsig stats f | head -1`) the process ends quietly with exit code
+/// 0, as Unix filters do; any other write error is reported.
+fn emit(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("cannot write to stdout: {e}")),
+    }
+}
+
+/// `println!` through [`emit`]; for functions returning `Result<_, String>`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))?
+    };
 }
 
 fn print_usage() {
@@ -231,7 +251,7 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
 
     // Shared with `graphsig serve`: server mine payloads are rendered by
     // the same function, so they stay byte-identical to this output.
-    print!("{}", graphsig_core::render_subgraphs(&db, &result, top));
+    emit(&graphsig_core::render_subgraphs(&db, &result, top))?;
     Ok(())
 }
 
@@ -449,10 +469,10 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         let opened = graphsig_store::open_lenient(dir).map_err(|e| e.to_string())?;
         let total = opened.manifest.shards.len();
         let survivors = opened.shards.len();
-        println!("store version:   {}", opened.manifest.store_version);
-        println!("shards serving:  {survivors}/{total}");
-        println!("graphs serving:  {}", opened.db.len());
-        println!("disk bytes:      {}", opened.disk_bytes());
+        outln!("store version:   {}", opened.manifest.store_version);
+        outln!("shards serving:  {survivors}/{total}");
+        outln!("graphs serving:  {}", opened.db.len());
+        outln!("disk bytes:      {}", opened.disk_bytes());
         for q in &opened.report.quarantined {
             eprintln!("quarantined {}: {}", q.name, q.error);
         }
@@ -466,9 +486,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let report = graphsig_store::verify(dir).map_err(|e| e.to_string())?;
-    println!("store version:   {}", report.store_version);
-    println!("shards:          {}", report.shards.len());
-    println!(
+    outln!("store version:   {}", report.store_version);
+    outln!("shards:          {}", report.shards.len());
+    outln!(
         "graphs promised: {}",
         report
             .shards
@@ -476,7 +496,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
             .map(|s| s.graph_count as u64)
             .sum::<u64>()
     );
-    println!("disk bytes:      {}", report.disk_bytes);
+    outln!("disk bytes:      {}", report.disk_bytes);
     for orphan in &report.orphans {
         eprintln!("orphan shard (unreferenced): {orphan}");
     }
@@ -516,13 +536,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     };
     let db = load_db(path)?;
     let s = db.stats();
-    println!("graphs:               {}", s.graph_count);
-    println!("total nodes:          {}", s.total_nodes);
-    println!("total edges:          {}", s.total_edges);
-    println!("avg nodes per graph:  {:.2}", s.avg_nodes);
-    println!("avg edges per graph:  {:.2}", s.avg_edges);
-    println!("distinct node labels: {}", s.distinct_node_labels);
-    println!("distinct edge labels: {}", s.distinct_edge_labels);
+    outln!("graphs:               {}", s.graph_count);
+    outln!("total nodes:          {}", s.total_nodes);
+    outln!("total edges:          {}", s.total_edges);
+    outln!("avg nodes per graph:  {:.2}", s.avg_nodes);
+    outln!("avg edges per graph:  {:.2}", s.avg_edges);
+    outln!("distinct node labels: {}", s.distinct_node_labels);
+    outln!("distinct edge labels: {}", s.distinct_edge_labels);
     let rings: usize = db.graphs().iter().map(graphsig_graph::cycle_rank).sum();
     let max_diameter = db
         .graphs()
@@ -530,11 +550,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         .filter_map(graphsig_graph::diameter)
         .max()
         .unwrap_or(0);
-    println!("total rings:          {rings}");
-    println!("max graph diameter:   {max_diameter}");
-    println!("\natom coverage (Fig. 4 curve):");
+    outln!("total rings:          {rings}");
+    outln!("max graph diameter:   {max_diameter}");
+    outln!("\natom coverage (Fig. 4 curve):");
     for (rank, (label, count, cum)) in db.atom_coverage_curve().into_iter().enumerate() {
-        println!(
+        outln!(
             "  {:>2}. {:<4} {:>8}  {:>6.2}%",
             rank + 1,
             db.labels().node_name(label).unwrap_or("?"),
@@ -571,7 +591,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             std::fs::write(&np, neg).map_err(|e| format!("cannot write {np}: {e}"))?;
             eprintln!("# wrote {pp} and {np}");
         }
-        None => print!("{}", write_transactions(&data.db)),
+        None => emit(&write_transactions(&data.db))?,
     }
     Ok(())
 }
@@ -618,10 +638,10 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
         pos.len(),
         neg.len()
     );
-    println!("graph_id\tscore\tclass");
+    outln!("graph_id\tscore\tclass");
     for (i, g) in query.graphs().iter().enumerate() {
         let score = clf.score(g);
-        println!(
+        outln!(
             "{i}\t{score:.6}\t{}",
             if score > 0.0 { "positive" } else { "negative" }
         );

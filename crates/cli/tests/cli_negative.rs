@@ -213,3 +213,29 @@ fn classify_requires_three_files() {
     assert!(!ok);
     assert!(err.contains("classify needs"), "{err}");
 }
+
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // `graphsig generate aids 2000 | head -1`: the output is far larger
+    // than a pipe buffer, so the writer is still writing when the reader
+    // closes its end after one line.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_graphsig"))
+        .args(["generate", "aids", "2000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert_eq!(first, "t # 0\n");
+    // The reader (and the read end of the pipe) is dropped here.
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!err.contains("Broken pipe"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
+}

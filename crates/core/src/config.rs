@@ -78,8 +78,10 @@ pub struct GraphSigConfig {
     pub matcher: MatcherKind,
     /// Worker threads for the parallel pipeline phases (RWR pass, FVMine
     /// per label group, CutGraph + maximal FSM per region set). `0` = auto
-    /// ([`std::thread::available_parallelism`]), `1` = sequential. The
-    /// mined output is byte-identical for every thread count.
+    /// ([`std::thread::available_parallelism`]), `1` = sequential. Never
+    /// more than this many tasks run at once: each region set's miner
+    /// borrows only cores the region-set map has idle. The mined output is
+    /// byte-identical for every thread count.
     pub threads: usize,
     /// Optional resource governance for the whole run: wall-clock deadline,
     /// cooperative step budget, external cancellation. `None` (the default)

@@ -426,13 +426,13 @@ impl GraphSig {
             candidates: Vec<(DfsCode, CandidateRest)>,
         }
         let t2 = Instant::now();
-        // Outer parallelism spreads the work items across cores; any cores
-        // the item fan-out can't use go to the miners inside each item
-        // (inner > 1 only when there are fewer items than cores). Both
-        // miners are byte-deterministic at every thread count, so the
-        // split never changes the output.
-        let inner_threads =
-            (crate::par::resolve_threads(self.cfg.threads) / work.len().max(1)).max(1);
+        // One task per region set. The miner inside each task runs its own
+        // parallel maps with the same `threads`: they start on the task's
+        // core and borrow the cores that this map's workers give back
+        // when they run out of sets, so one blown-up set ends up on every
+        // core while the call tree never runs more than `threads` tasks at
+        // once. Both miners are byte-deterministic at every thread count,
+        // so who borrows what never changes the output.
         let outcomes: Vec<SetOutcome> =
             crate::par::par_map(self.cfg.threads, &work, |(label, sv, nodes)| {
                 if nodes.len() < 2 {
@@ -465,8 +465,7 @@ impl GraphSig {
                     region_sources.push(gid);
                 }
                 let support = self.cfg.fsm_support(regions.len());
-                let (patterns, truncated, stop) =
-                    self.maximal_fsm(&regions, support, inner_threads);
+                let (patterns, truncated, stop) = self.maximal_fsm(&regions, support);
                 let pruned = patterns.is_empty();
                 let candidates = patterns
                     .into_iter()
@@ -577,13 +576,12 @@ impl GraphSig {
         )
     }
 
-    /// Run the configured miner with `threads` workers and return
+    /// Run the configured miner and return
     /// `(maximal patterns, hit the per-set pattern cap, budget stop)`.
     fn maximal_fsm(
         &self,
         regions: &GraphDb,
         support: usize,
-        threads: usize,
     ) -> (Vec<Pattern>, bool, Option<StopReason>) {
         if regions.len() < support {
             return (Vec::new(), false, None);
@@ -595,7 +593,7 @@ impl GraphSig {
                     .with_max_edges(self.cfg.max_pattern_edges)
                     .with_max_patterns(cap)
                     .with_matcher(self.cfg.matcher)
-                    .with_threads(threads);
+                    .with_threads(self.cfg.threads);
                 if let Some(b) = self.cfg.budget.as_ref() {
                     cfg = cfg.with_budget(b.clone());
                 }
@@ -605,7 +603,7 @@ impl GraphSig {
                 let mut cfg = MinerConfig::new(support)
                     .with_max_edges(self.cfg.max_pattern_edges)
                     .with_max_patterns(cap)
-                    .with_threads(threads);
+                    .with_threads(self.cfg.threads);
                 if let Some(b) = self.cfg.budget.as_ref() {
                     cfg = cfg.with_budget(b.clone());
                 }

@@ -39,7 +39,11 @@ pub struct MinerConfig {
     /// space explodes by design).
     pub max_patterns: Option<usize>,
     /// Worker threads for per-seed subtree mining: `1` = sequential
-    /// (the default), `0` = auto (one per core). The mined pattern list is
+    /// (the default), `0` = auto (one per core). Run inside a task of
+    /// another parallel map (as the pipeline's region-set map does), this
+    /// is a ceiling: the seed map starts on the task's core and borrows
+    /// cores the enclosing map has idle (see [`graphsig_graph::par`]), and
+    /// `1` keeps the miner on the task's core. The mined pattern list is
     /// byte-identical for every thread count.
     pub threads: usize,
     /// Resource governance. Each seed subtree is one budget work unit
